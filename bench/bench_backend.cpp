@@ -1,49 +1,27 @@
-// Compute-backend comparison: per-kernel and end-to-end timings of the
-// `cpu` (reference) vs `cpu_simd` (vectorized fused-step + STDP-row) kernel
+// Compute-backend comparison: end-to-end timings of the `cpu` (reference)
+// vs `cpu_sparse` (event-driven encode, CSR propagation, lazy STDP) kernel
 // tables, published as pss.metrics.v1 gauges.
 //
-// Per-kernel section: the two kernels cpu_simd overrides, timed in isolation
-// (784 input channels, a burst of active channels stressing the per-row
-// conductance gather, a half-stale grid-aligned last-pre-spike vector for
-// the STDP row), min-of-repeats timing. Two fused-step regimes:
-//  * `lif_fused` — the default 256-neuron geometry keeps the conductance
-//    matrix L2-resident, so the timing isolates the compute difference the
-//    backends actually have (the vectorized row gather);
-//  * `lif_fused_dram` — the paper-scale 1000-neuron matrix streams from
-//    DRAM, where both backends saturate memory bandwidth and the expected
-//    speedup is ~1.0x. Published so nobody mistakes the headline number for
-//    a bandwidth-bound claim.
-//
 // End-to-end section: the full unsupervised pipeline (train → label → infer)
-// through ExperimentSpec with only the backend name swapped.
+// through ExperimentSpec with only the backend name swapped, plus the wall
+// time each backend charged to the encode / integrate / stdp phases and the
+// per-phase speedup of cpu_sparse against cpu.
 //
-// Hardware-counter profile: after every timed section, an untimed pass
-// re-runs the kernels (and one sparse e2e run) with obs::profile_enabled()
-// on, so the per-kernel cycles/IPC/cache-miss tables in the
-// `<out>.profile.json` sidecar (pss.profile.v1) come from the same code
-// paths without the ~µs counter-group reads distorting the published
+// Hardware-counter profile: an untimed cpu_sparse e2e pass re-runs with
+// obs::profile_enabled() on, so the per-kernel cycles/IPC/cache-miss tables
+// in the `<out>.profile.json` sidecar (pss.profile.v1) come from the same
+// code paths without the ~µs counter-group reads distorting the published
 // timings. Where perf_event_open is blocked (containers) the sidecar
 // reports "available": 0 instead of failing.
 //
-// Arguments: neurons=256 active=256 dram_neurons=1000 dram_active=128
-//            repeats=5 iters=200 e2e=1 profile=1 out=BENCH_backend.json
-//            seed=3
+// Arguments: e2e=1 profile=1 out=BENCH_backend.json seed=3
 // The committed repo-root BENCH_backend.json is this bench's output, run from
 // the repo root with defaults; refresh it when the kernels change and diff
 // with tools/bench_summary.py. tools/bench_compare.py gates it against
 // bench/baselines/backend.json.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <limits>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "pss/backend/backend.hpp"
-#include "pss/backend/kernels.hpp"
-#include "pss/backend/state_pool.hpp"
 #include "pss/common/stopwatch.hpp"
 #include "pss/data/synthetic_digits.hpp"
 #include "pss/experiment/experiment.hpp"
@@ -54,101 +32,6 @@
 using namespace pss;
 
 namespace {
-
-/// One backend's kernel playground: a pool with irregular-but-deterministic
-/// state on a paper-shaped geometry.
-struct Rig {
-  std::unique_ptr<Backend> backend;
-  std::unique_ptr<StatePool> pool;
-  std::vector<ChannelIndex> active;
-  StdpUpdater updater{StdpUpdaterConfig{}};
-  CounterRng rng{3, 9};
-
-  Rig(const std::string& name, std::size_t neurons, std::size_t channels,
-      std::size_t active_count) {
-    backend = make_backend(name);
-    pool = std::make_unique<StatePool>(backend.get(),
-                                       StatePool::Geometry{neurons, channels});
-    pool->set_g_bounds(0.0, 1.0);
-    SequentialRng init(7);
-    for (auto& g : pool->g()) g = init.uniform();
-    auto v = pool->membrane();
-    auto currents = pool->currents();
-    auto last = pool->last_spike();
-    for (std::size_t i = 0; i < neurons; ++i) {
-      v[i] = -65.0 + 15.0 * init.uniform();
-      currents[i] = 4.0 * init.uniform();
-      last[i] = kNeverSpiked;
-    }
-    // Half the channels never fired (the gap-infinite STDP branch), the rest
-    // spread over the recent past — the mix a real presentation produces.
-    // Spike times land on the dt = 0.5 ms step grid, as the encoders emit
-    // them, so rows see repeated gap values (which the cpu_simd kernel's
-    // gate memo exploits, exactly as it would in training).
-    auto last_pre = pool->last_pre_spike();
-    for (std::size_t c = 0; c < channels; ++c) {
-      last_pre[c] = (c % 2 == 0)
-                        ? kNeverSpiked
-                        : 0.5 * std::floor(80.0 * init.uniform());
-    }
-    const std::size_t stride = std::max<std::size_t>(1, channels / active_count);
-    for (std::size_t c = 0; c < channels && active.size() < active_count;
-         c += stride) {
-      active.push_back(static_cast<ChannelIndex>(c));
-    }
-  }
-
-  void fused_step(TimeMs now) {
-    LifFusedStepArgs args;
-    args.params = paper_lif_parameters();
-    args.step.state =
-        NeuronStateView{pool->membrane(), pool->recovery(), pool->last_spike(),
-                        pool->inhibited_until(), pool->spiked()};
-    args.step.currents = pool->currents();
-    args.step.decay_factor = 0.8;
-    args.step.conductance = std::as_const(*pool).g();
-    args.step.pre_count = pool->channels();
-    args.step.active_pre = active;
-    args.step.amplitude = 3.0;
-    args.step.now = now;
-    args.step.dt = 0.5;
-    backend->kernels().lif_step_fused(backend->engine(), args);
-  }
-
-  void stdp_row(NeuronIndex post, TimeMs t_post, std::uint64_t counter_base) {
-    StdpRowArgs args;
-    args.updater = &updater;
-    args.row = pool->g_row(post);
-    args.last_pre_spike = std::as_const(*pool).last_pre_spike();
-    args.t_post = t_post;
-    args.rng = &rng;
-    args.counter_base = counter_base;
-    backend->kernels().stdp_row(backend->engine(), args);
-  }
-};
-
-/// Seconds per call, min over `repeats` timed blocks of `iters` calls each.
-template <typename Fn>
-double time_min(std::size_t repeats, std::size_t iters, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    Stopwatch sw;
-    for (std::size_t i = 0; i < iters; ++i) fn(i);
-    best = std::min(best, sw.seconds() / static_cast<double>(iters));
-  }
-  return best;
-}
-
-void publish_pair(const std::string& kernel, double cpu_s, double simd_s) {
-  obs::metrics().gauge("bench.backend." + kernel + ".cpu.ns").set(cpu_s * 1e9);
-  obs::metrics()
-      .gauge("bench.backend." + kernel + ".cpu_simd.ns")
-      .set(simd_s * 1e9);
-  obs::metrics().gauge("bench.backend." + kernel + ".speedup")
-      .set(cpu_s / simd_s);
-  std::printf("  %-14s cpu %9.0f ns   cpu_simd %9.0f ns   speedup %.2fx\n",
-              kernel.c_str(), cpu_s * 1e9, simd_s * 1e9, cpu_s / simd_s);
-}
 
 /// Wall time charged to each simulation phase during one e2e run, read as
 /// deltas of the global phase.*.ns counters WtaNetwork::present maintains.
@@ -241,137 +124,45 @@ void publish_phase_speedup(const std::string& backend,
 int main(int argc, char** argv) {
   try {
     const Config args = Config::from_args(argc, argv);
-    const std::size_t neurons =
-        static_cast<std::size_t>(args.get_int("neurons", 256));
-    const std::size_t active_count =
-        static_cast<std::size_t>(args.get_int("active", 256));
-    const std::size_t dram_neurons =
-        static_cast<std::size_t>(args.get_int("dram_neurons", 1000));
-    const std::size_t dram_active =
-        static_cast<std::size_t>(args.get_int("dram_active", 128));
-    const std::size_t repeats =
-        static_cast<std::size_t>(args.get_int("repeats", 5));
-    const std::size_t iters =
-        static_cast<std::size_t>(args.get_int("iters", 200));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.get_int("seed", 3));
     const std::string out = args.get_string("out", "BENCH_backend.json");
-    constexpr std::size_t kChannels = kImagePixels;
-
     obs::set_metrics_enabled(true);
 
-    std::printf("backend comparison: %zu neurons x %zu channels, %zu active, "
-                "min of %zu x %zu calls\n",
-                neurons, kChannels, active_count, repeats, iters);
-
-    // --- per-kernel -------------------------------------------------------
-    Rig cpu("cpu", neurons, kChannels, active_count);
-    Rig simd("cpu_simd", neurons, kChannels, active_count);
-
-    const double fused_cpu = time_min(repeats, iters, [&](std::size_t i) {
-      cpu.fused_step(0.5 * static_cast<double>(i + 1));
-    });
-    const double fused_simd = time_min(repeats, iters, [&](std::size_t i) {
-      simd.fused_step(0.5 * static_cast<double>(i + 1));
-    });
-    publish_pair("lif_fused", fused_cpu, fused_simd);
-
-    // Paper-scale fused step: the matrix streams from DRAM and both
-    // backends are bandwidth-bound, so this pair is expected near 1.0x.
-    {
-      Rig cpu_dram("cpu", dram_neurons, kChannels, dram_active);
-      Rig simd_dram("cpu_simd", dram_neurons, kChannels, dram_active);
-      const double dram_cpu = time_min(repeats, iters, [&](std::size_t i) {
-        cpu_dram.fused_step(0.5 * static_cast<double>(i + 1));
-      });
-      const double dram_simd = time_min(repeats, iters, [&](std::size_t i) {
-        simd_dram.fused_step(0.5 * static_cast<double>(i + 1));
-      });
-      publish_pair("lif_fused_dram", dram_cpu, dram_simd);
-      obs::metrics().gauge("bench.backend.dram_neurons")
-          .set(static_cast<double>(dram_neurons));
-    }
-
-    const std::uint64_t draws_per_row =
-        static_cast<std::uint64_t>(kChannels) * StdpUpdater::kDrawsPerEvent;
-    const double stdp_cpu = time_min(repeats, iters, [&](std::size_t i) {
-      cpu.stdp_row(static_cast<NeuronIndex>(i % neurons),
-                   static_cast<double>(i), i * draws_per_row);
-    });
-    const double stdp_simd = time_min(repeats, iters, [&](std::size_t i) {
-      simd.stdp_row(static_cast<NeuronIndex>(i % neurons),
-                    static_cast<double>(i), i * draws_per_row);
-    });
-    publish_pair("stdp_row", stdp_cpu, stdp_simd);
-
-    obs::metrics().gauge("bench.backend.neurons")
-        .set(static_cast<double>(neurons));
-    obs::metrics().gauge("bench.backend.active_channels")
-        .set(static_cast<double>(cpu.active.size()));
+    SyntheticConfig synth;
+    synth.train_count = 240;
+    synth.test_count = 240;
+    synth.seed = 7;
+    const LabeledDataset data = make_synthetic_digits(synth);
 
     // --- end-to-end -------------------------------------------------------
     if (args.get_bool("e2e", true)) {
-      SyntheticConfig synth;
-      synth.train_count = 240;
-      synth.test_count = 240;
-      synth.seed = 7;
-      const LabeledDataset data = make_synthetic_digits(synth);
-      double acc_cpu = 0.0, acc_simd = 0.0, acc_sparse = 0.0;
-      PhaseBreakdown ph_cpu, ph_simd, ph_sparse;
+      double acc_cpu = 0.0, acc_sparse = 0.0;
+      PhaseBreakdown ph_cpu, ph_sparse;
       const double e2e_cpu = run_e2e("cpu", data, seed, &acc_cpu, &ph_cpu);
-      const double e2e_simd =
-          run_e2e("cpu_simd", data, seed, &acc_simd, &ph_simd);
       const double e2e_sparse =
           run_e2e("cpu_sparse", data, seed, &acc_sparse, &ph_sparse);
-      // Legacy pair gauges (the simd comparison the bench started with).
-      obs::metrics().gauge("bench.backend.e2e.cpu.seconds").set(e2e_cpu);
-      obs::metrics().gauge("bench.backend.e2e.cpu_simd.seconds").set(e2e_simd);
-      obs::metrics().gauge("bench.backend.e2e.speedup").set(e2e_cpu / e2e_simd);
-      obs::metrics().gauge("bench.backend.e2e.cpu.accuracy").set(acc_cpu);
-      obs::metrics()
-          .gauge("bench.backend.e2e.cpu_simd.accuracy")
-          .set(acc_simd);
-      std::printf("  e2e pipeline   cpu %9.2f s    cpu_simd %9.2f s   "
+      std::printf("  e2e pipeline   cpu %9.2f s    cpu_sparse %9.2f s   "
                   "speedup %.2fx  (accuracy %.1f%% vs %.1f%%)\n",
-                  e2e_cpu, e2e_simd, e2e_cpu / e2e_simd, 100.0 * acc_cpu,
-                  100.0 * acc_simd);
-      std::printf("  e2e pipeline   cpu_sparse %6.2f s   speedup %.2fx  "
-                  "(accuracy %.1f%%)\n",
-                  e2e_sparse, e2e_cpu / e2e_sparse, 100.0 * acc_sparse);
-      // Per-phase wall time per backend, and each backend's per-phase
-      // speedup against the reference. The sparse backend's acceptance
-      // criterion is the encode+integrate+stdp aggregate.
+                  e2e_cpu, e2e_sparse, e2e_cpu / e2e_sparse, 100.0 * acc_cpu,
+                  100.0 * acc_sparse);
+      obs::metrics()
+          .gauge("bench.backend.e2e.cpu_sparse.speedup")
+          .set(e2e_cpu / e2e_sparse);
+      // Per-phase wall time per backend, and cpu_sparse's per-phase speedup
+      // against the reference. The sparse backend's acceptance criterion is
+      // the encode+integrate+stdp aggregate.
       publish_e2e("cpu", e2e_cpu, acc_cpu, ph_cpu);
-      publish_e2e("cpu_simd", e2e_simd, acc_simd, ph_simd);
       publish_e2e("cpu_sparse", e2e_sparse, acc_sparse, ph_sparse);
-      publish_phase_speedup("cpu_simd", ph_cpu, ph_simd);
       publish_phase_speedup("cpu_sparse", ph_cpu, ph_sparse);
     }
 
     // --- hardware-counter profile (untimed pass) --------------------------
     if (args.get_bool("profile", true)) {
       obs::set_profile_enabled(true);
-      const std::size_t prof_iters = std::min<std::size_t>(iters, 100);
-      for (std::size_t i = 0; i < prof_iters; ++i) {
-        const TimeMs t = 0.5 * static_cast<double>(i + 1);
-        cpu.fused_step(t);
-        simd.fused_step(t);
-        cpu.stdp_row(static_cast<NeuronIndex>(i % neurons),
-                     static_cast<double>(i), i * draws_per_row);
-        simd.stdp_row(static_cast<NeuronIndex>(i % neurons),
-                      static_cast<double>(i), i * draws_per_row);
-      }
-      if (args.get_bool("e2e", true)) {
-        // One sparse e2e run fills the per-phase rows (phase.encode /
-        // integrate / stdp / homeostasis) and the sparse kernel tags;
-        // cpu_sparse because it is the cheapest full pipeline.
-        SyntheticConfig synth;
-        synth.train_count = 240;
-        synth.test_count = 240;
-        synth.seed = 7;
-        const LabeledDataset data = make_synthetic_digits(synth);
-        run_e2e("cpu_sparse", data, seed, nullptr, nullptr);
-      }
+      // One sparse e2e run fills the per-phase rows (phase.encode /
+      // integrate / stdp / homeostasis) and the sparse kernel tags.
+      run_e2e("cpu_sparse", data, seed, nullptr, nullptr);
       obs::set_profile_enabled(false);
       obs::publish_profile_stats();
       std::string profile_out = out;

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.get_int("seed", 9));
     const std::vector<std::size_t> worker_counts = parse_workers(args);
-    // Compute backend for every network in the sweep (backend=cpu|cpu_simd).
+    // Compute backend for every network in the sweep (backend=cpu|cpu_sparse).
     const std::string backend = args.get_string("backend", "cpu");
 
     const LabeledDataset data =

@@ -37,11 +37,6 @@
 namespace pss {
 namespace {
 
-/// Benchmarks taking a backend argument map 0 -> cpu, 1 -> cpu_simd.
-const char* backend_arg_name(std::int64_t arg) {
-  return arg == 0 ? "cpu" : "cpu_simd";
-}
-
 void BM_PhiloxDraw(benchmark::State& state) {
   CounterRng rng(42, 7);
   std::uint64_t c = 0;
@@ -110,15 +105,13 @@ void BM_StdpRowUpdate(benchmark::State& state) {
 BENCHMARK(BM_StdpRowUpdate)->Arg(0)->Arg(1);
 
 // ---- backend kernel-table dispatch ----------------------------------------
-// The same two hot kernels measured through the pluggable backend seam
-// (registry lookup + kernel-table function pointer), per backend. Compare
-// against the direct-call benchmarks above to see the dispatch cost, and
-// across Arg(0)/Arg(1) for the cpu vs cpu_simd kernel difference
-// (bench_backend holds the authoritative cross-backend numbers).
+// The same two hot kernels measured through the backend seam (kernel-table
+// function pointer) on `cpu`; cpu_sparse dispatches the same reference
+// kernels for both. Compare against the direct-call benchmarks above to see
+// the dispatch cost (bench_backend holds the cross-backend numbers).
 
 void BM_BackendFusedStep(benchmark::State& state) {
-  const char* name = backend_arg_name(state.range(0));
-  auto backend = make_backend(name);
+  auto backend = make_backend("cpu");
   StatePool pool(backend.get(), StatePool::Geometry{256, kImagePixels});
   pool.set_g_bounds(0.0, 1.0);
   SequentialRng init(7);
@@ -147,14 +140,12 @@ void BM_BackendFusedStep(benchmark::State& state) {
     backend->kernels().lif_step_fused(backend->engine(), args);
     benchmark::DoNotOptimize(pool.currents().data());
   }
-  state.SetLabel(name);
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_BackendFusedStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_BackendFusedStep);
 
 void BM_BackendStdpRow(benchmark::State& state) {
-  const char* name = backend_arg_name(state.range(0));
-  auto backend = make_backend(name);
+  auto backend = make_backend("cpu");
   StatePool pool(backend.get(), StatePool::Geometry{8, kImagePixels});
   pool.set_g_bounds(0.0, 1.0);
   SequentialRng init(7);
@@ -182,11 +173,10 @@ void BM_BackendStdpRow(benchmark::State& state) {
     backend->kernels().stdp_row(backend->engine(), args);
     benchmark::DoNotOptimize(args.row.data());
   }
-  state.SetLabel(name);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(kImagePixels));
 }
-BENCHMARK(BM_BackendStdpRow)->Arg(0)->Arg(1);
+BENCHMARK(BM_BackendStdpRow);
 
 void BM_PoissonEncoderStep(benchmark::State& state) {
   PoissonEncoder enc(kImagePixels, 5);

@@ -10,7 +10,7 @@
 //   maps=out/mnist_maps.pgm   curve=out/mnist_error.csv  checkpoints=4
 //   workers=1 (0 = all cores; image-parallel labelling/eval, identical
 //   results)   batch=1 (> 1 = minibatch STDP training)
-//   backend=cpu|cpu_simd (cpu)  compute backend (README "Compute backends")
+//   backend=cpu|cpu_sparse (cpu)  compute backend (README "Compute backends")
 //   metrics=<path.json>  trace=<path.json>  manifest=<path.json>
 //   profile=<path.json>  prom=<path.prom>  metrics_port=<port>
 //   (observability sidecars + live exposition — see README "Observability")

@@ -1,9 +1,5 @@
 #include "pss/backend/backend.hpp"
 
-#include <cstring>
-#include <functional>
-#include <new>
-
 #include "pss/backend/kernels.hpp"
 #include "pss/common/error.hpp"
 
@@ -11,146 +7,41 @@ namespace pss {
 
 namespace {
 
-/// CPU backend: host memory, synchronous launches on the wrapped Engine.
-/// Every registered CPU backend is an instance of this class — they differ
-/// only in which kernel table they dispatch.
-class CpuBackend final : public Backend {
- public:
-  CpuBackend(const char* name, Engine* engine, const KernelTable& table)
-      : name_(name), engine_(engine ? engine : &default_engine()),
-        table_(&table) {}
-
-  const char* name() const override { return name_; }
-  Engine& engine() const override { return *engine_; }
-
-  // This IS the allocation seam (the cudaMalloc/cudaFree stand-in): it runs
-  // at StatePool construction, never per launch, so the raw-alloc lint rule
-  // is suppressed here — the one place in the hot-path tree allowed to
-  // allocate.
-  void* alloc_bytes(std::size_t bytes) override {
-    void* p = ::operator new(bytes);  // pss-lint: allow(raw-alloc)
-    std::memset(p, 0, bytes);
-    return p;
-  }
-  void free_bytes(void* ptr, std::size_t) noexcept override {
-    ::operator delete(ptr);  // pss-lint: allow(raw-alloc)
-  }
-  void copy_to_device(void* dst, const void* src,
-                      std::size_t bytes) override {
-    std::memcpy(dst, src, bytes);
-  }
-  void copy_to_host(void* dst, const void* src, std::size_t bytes) override {
-    std::memcpy(dst, src, bytes);
-  }
-
-  /// Engine::launch blocks until the grid completes, so there is never
-  /// outstanding work to wait for.
-  void synchronize() override {}
-
-  const KernelTable& kernels() const override { return *table_; }
-
- private:
-  const char* name_;
-  Engine* engine_;
-  const KernelTable* table_;
-};
-
 struct BackendEntry {
-  BackendInfo info;
-  std::function<std::unique_ptr<Backend>(Engine*)> factory;  ///< may throw
+  const char* name;
+  const KernelTable& (*table)();
 };
 
-// Thread-safety contract of the registry: both tables below are function-
-// local `static const` values — C++ magic statics make the one-time build
-// thread-safe, and everything afterwards is immutable, so concurrent
-// backend_registry()/make_backend() calls need no lock. Keeping the
-// registry append-only-at-init is what lets the dispatch hot path stay
-// annotation- and lock-free; a runtime-mutable registry would need a mutex
-// and PSS_GUARDED_BY like the fault/metrics registries.
-const std::vector<BackendEntry>& entries() {
-  static const std::vector<BackendEntry> table = [] {
-    std::vector<BackendEntry> e;
-    e.push_back({{"cpu",
-                  "reference Engine/ThreadPool kernels (bitwise-identical "
-                  "to the pre-backend code)",
-                  true},
-                 [](Engine* engine) -> std::unique_ptr<Backend> {
-                   return std::make_unique<CpuBackend>("cpu", engine,
-                                                       cpu_kernel_table());
-                 }});
-    e.push_back({{"cpu_simd",
-                  "cpu + vectorized fused-step and STDP-row kernels "
-                  "(STDP draws bitwise-identical; fused step reassociates "
-                  "the row sum, ULP-level differences)",
-                  true},
-                 [](Engine* engine) -> std::unique_ptr<Backend> {
-                   return std::make_unique<CpuBackend>(
-                       "cpu_simd", engine, cpu_simd_kernel_table());
-                 }});
-    e.push_back({{"cpu_sparse",
-                  "cpu + event-driven sparse path: event-list encoders, CSR "
-                  "spike propagation, lazy STDP (network-level trajectories "
-                  "statistically match cpu; Poisson draw indexing differs)",
-                  true},
-                 [](Engine* engine) -> std::unique_ptr<Backend> {
-                   return std::make_unique<CpuBackend>(
-                       "cpu_sparse", engine, cpu_sparse_kernel_table());
-                 }});
-    e.push_back({{"cuda", "CUDA device backend (stub, not yet implemented)",
-                  false},
-                 [](Engine*) -> std::unique_ptr<Backend> {
-                   throw Error(
-                       "backend 'cuda' is a stub: CUDA support is not built "
-                       "into this binary. Reconfigure with "
-                       "-DPSS_ENABLE_CUDA=ON to opt in (currently fails at "
-                       "configure time with a clear message — the kernels "
-                       "are not implemented yet); use backend=cpu or "
-                       "backend=cpu_simd meanwhile.");
-                 }});
-    return e;
-  }();
-  return table;
-}
+// The registry is a constant table of function pointers, so concurrent
+// backend_names()/make_backend() calls need no lock.
+constexpr BackendEntry kEntries[] = {
+    {"cpu", cpu_kernel_table},
+    {"cpu_sparse", cpu_sparse_kernel_table},
+};
 
 }  // namespace
 
-const std::vector<BackendInfo>& backend_registry() {
-  static const std::vector<BackendInfo> infos = [] {
-    std::vector<BackendInfo> v;
-    for (const auto& e : entries()) v.push_back(e.info);
-    return v;
-  }();
-  return infos;
-}
-
 std::vector<std::string> backend_names() {
   std::vector<std::string> names;
-  for (const auto& e : entries()) names.push_back(e.info.name);
+  for (const BackendEntry& e : kEntries) names.emplace_back(e.name);
   return names;
-}
-
-bool backend_available(const std::string& name) {
-  for (const auto& e : entries()) {
-    if (e.info.name == name) return e.info.available;
-  }
-  return false;
 }
 
 std::unique_ptr<Backend> make_backend(const std::string& name,
                                       Engine* engine) {
-  for (const auto& e : entries()) {
-    if (e.info.name == name) return e.factory(engine);
-  }
   std::string known;
-  for (const auto& e : entries()) {
+  for (const BackendEntry& e : kEntries) {
+    if (name == e.name) {
+      return std::make_unique<Backend>(e.name, engine, e.table());
+    }
     if (!known.empty()) known += "|";
-    known += e.info.name;
+    known += e.name;
   }
   throw Error("unknown backend '" + name + "' (known: " + known + ")");
 }
 
 Backend& default_backend() {
-  static CpuBackend backend("cpu", &default_engine(), cpu_kernel_table());
+  static Backend backend("cpu", &default_engine(), cpu_kernel_table());
   return backend;
 }
 

@@ -1,35 +1,30 @@
-// Pluggable compute backend — the device seam of the paper's architecture.
+// Compute backend — the kernel dispatch seam of the paper's architecture.
 //
 // ParallelSpikeSim maps every hot loop (encode, current accumulation, neuron
 // update, STDP row update) onto GPU kernels. Our Engine emulates the CUDA
-// launch model on a thread pool; this layer makes the *dispatch* pluggable so
-// alternative implementations of the same kernels (vectorized CPU today, a
-// real CUDA backend later) can be swapped behind one interface:
+// launch model on a thread pool; a Backend pairs that Engine with one
+// KernelTable, so every hot loop is dispatched through a single table:
 //
-//   Backend  — buffer alloc/copy (the cudaMalloc/cudaMemcpy seam),
-//              stream-ordered kernel enqueue via a KernelTable, synchronize.
-//   Registry — backends are constructed by name ("cpu", "cpu_simd",
-//              "cpu_sparse"; "cuda" is a stub gated behind the
-//              PSS_ENABLE_CUDA CMake option).
+//   Backend  — a name, the Engine kernels launch on, and a KernelTable.
+//   Registry — backends are constructed by name:
+//     "cpu"        the reference kernels (kernels_cpu.cpp) every
+//                  differential test compares against;
+//     "cpu_sparse" the fast path: event-list encoders, CSR spike
+//                  propagation, lazy STDP and the spatially hoisted conv
+//                  (kernels_sparse.cpp) over the reference dense slots.
 //
 // Rule: new hot-path kernels must be *registered* — added to the KernelTable
 // and implemented per backend — never inlined as ad-hoc Engine::launch
 // lambdas at call sites. The table is the single place compute is dispatched
 // from (see DESIGN.md "Compute backends").
 //
-// Contract: the `cpu` backend wraps the existing Engine/ThreadPool kernels
-// unchanged and is bitwise-identical to the pre-backend code at any worker
-// count. `cpu_simd` replaces the fused-step and STDP-row kernels with
-// vectorized variants; the STDP row is still bitwise-identical (batched
-// Philox produces the same draws), while the fused step reassociates the
-// row-gather sum (documented ULP-level differences; see kernels_simd.cpp).
-// `cpu_sparse` adds the event-driven sparse-path kernels (event-list
-// encoders, CSR propagation, lazy STDP flush; see kernels_sparse.cpp) on top
-// of the reference dense slots — WtaNetwork probes the table and switches to
-// the event-driven presentation loop when they are present.
+// Contract: every dense kernel slot is bitwise-identical to `cpu` at any
+// worker count (cpu_sparse's conv_accumulate reorders the loops, not the
+// additions). The event-driven slots cpu_sparse adds have their own
+// contracts (see kernels_sparse.cpp); WtaNetwork probes the table and
+// switches to the event-driven presentation loop when they are present.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,65 +35,38 @@ namespace pss {
 
 struct KernelTable;
 
-/// Abstract compute device. On CPU backends, "device" buffers live in host
-/// memory and kernel enqueues run synchronously on the wrapped Engine (the
-/// stream is the Engine itself); a GPU backend would return device pointers
-/// and enqueue asynchronously, with synchronize() as the stream barrier.
+/// A named kernel table bound to the Engine its kernels launch on. Launches
+/// run synchronously on the Engine, and pool state lives in host memory.
 class Backend {
  public:
-  virtual ~Backend() = default;
+  Backend(const char* name, Engine* engine, const KernelTable& table)
+      : name_(name), engine_(engine ? engine : &default_engine()),
+        table_(&table) {}
 
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
-  virtual const char* name() const = 0;
+  const char* name() const { return name_; }
 
   /// The launch engine this backend enqueues kernels on.
-  virtual Engine& engine() const = 0;
-
-  /// Device buffer management (the cudaMalloc/cudaFree seam). Returned
-  /// memory is zero-filled. CPU backends hand out host pointers.
-  virtual void* alloc_bytes(std::size_t bytes) = 0;
-  virtual void free_bytes(void* ptr, std::size_t bytes) noexcept = 0;
-
-  /// Host<->device transfer (the cudaMemcpy seam; plain memcpy on CPU).
-  virtual void copy_to_device(void* dst, const void* src,
-                              std::size_t bytes) = 0;
-  virtual void copy_to_host(void* dst, const void* src, std::size_t bytes) = 0;
-
-  /// Blocks until all enqueued kernels have completed. No-op on CPU backends
-  /// (Engine::launch returns only after the grid finishes).
-  virtual void synchronize() = 0;
+  Engine& engine() const { return *engine_; }
 
   /// The registered kernel implementations this backend dispatches.
-  virtual const KernelTable& kernels() const = 0;
+  const KernelTable& kernels() const { return *table_; }
 
- protected:
-  Backend() = default;
+ private:
+  const char* name_;
+  Engine* engine_;
+  const KernelTable* table_;
 };
 
-/// One registry entry. `available` is false for stubs that are registered by
-/// name (so error messages can say how to enable them) but cannot be built —
-/// currently the `cuda` entry, gated behind -DPSS_ENABLE_CUDA.
-struct BackendInfo {
-  std::string name;
-  std::string description;
-  bool available = true;
-};
-
-/// All registered backends, in registration order (cpu first — the default).
-const std::vector<BackendInfo>& backend_registry();
-
-/// Names of all registered backends (including unavailable stubs).
+/// Names of all registered backends, in registration order (cpu first — the
+/// default).
 std::vector<std::string> backend_names();
 
-/// True if `name` is registered and constructible.
-bool backend_available(const std::string& name);
-
 /// Constructs a backend by name, bound to `engine` (nullptr = the process
-/// default engine). Throws pss::Error for unknown names (listing the valid
-/// ones) and for registered-but-unavailable stubs ("cuda" explains the
-/// PSS_ENABLE_CUDA gate).
+/// default engine). Throws pss::Error for unknown names, listing the valid
+/// ones.
 std::unique_ptr<Backend> make_backend(const std::string& name,
                                       Engine* engine = nullptr);
 

@@ -233,9 +233,9 @@ struct StdpFlushArgs {
 ///
 /// (decay_factor == 0 clears first). `active_pre` is ascending and each
 /// unit's taps accumulate in that order on EVERY backend — a fixed
-/// association, so cpu / cpu_simd / cpu_sparse results are bitwise equal
-/// (asserted by tests/test_backend.cpp), and worker-count invariant (thread
-/// u writes only currents[u]).
+/// association, so the cpu gather and cpu_sparse's hoisted kernel are
+/// bitwise equal (asserted by tests/test_prop_differential.cpp), and
+/// worker-count invariant (each unit is written by exactly one thread).
 struct ConvAccumulateArgs {
   std::span<const double> filters;  ///< [f][c][ky][kx], f-major
   std::size_t filter_count = 0;
@@ -337,8 +337,8 @@ struct KernelTable {
   void (*stdp_row)(Engine&, const StdpRowArgs&) = nullptr;
 
   // Layer-graph front-end kernels (conv filter-bank accumulate + spatial
-  // spike pooling). Registered on every backend; cpu_simd overrides
-  // conv_accumulate with a spatially-hoisted variant (same association —
+  // spike pooling). Registered on every backend; cpu_sparse overrides
+  // conv_accumulate with a spatially hoisted variant (same association —
   // bitwise-equal results).
   void (*conv_accumulate)(Engine&, const ConvAccumulateArgs&) = nullptr;
   void (*pool_forward)(Engine&, const PoolForwardArgs&) = nullptr;
@@ -359,13 +359,10 @@ struct KernelTable {
 /// bitwise-identical results, asserted by tests/test_backend.cpp).
 const KernelTable& cpu_kernel_table();
 
-/// cpu + vectorized fused-step and STDP-row kernels (see kernels_simd.cpp).
-const KernelTable& cpu_simd_kernel_table();
-
 /// cpu + the event-driven sparse path: event-list encoders (geometric
-/// inter-spike sampling / phase arithmetic), CSR spike propagation, and the
-/// lazy-STDP row flush (see kernels_sparse.cpp). All dense slots are the
-/// reference cpu kernels, so per-kernel equivalence vs `cpu` is inherited.
+/// inter-spike sampling / phase arithmetic), CSR spike propagation, the
+/// lazy-STDP row flush, and the spatially hoisted conv (see
+/// kernels_sparse.cpp). Every dense slot is bitwise-equal to `cpu`.
 const KernelTable& cpu_sparse_kernel_table();
 
 }  // namespace pss

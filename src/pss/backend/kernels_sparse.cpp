@@ -9,11 +9,15 @@
 //    with registers hot, fetching only the counter-indexed draw slots its
 //    chain actually consumes (silent channels never need a potentiation
 //    draw), with memoized gate probabilities and whole-chain skips for
-//    synapses parked at g_min.
+//    synapses parked at g_min;
+//  * graph.conv — the spatially hoisted conv accumulate (one thread per
+//    output position, window geometry computed once for the whole filter
+//    bank).
 //
-// Every dense table slot reuses the reference cpu kernel, so the sparse
-// backend inherits the per-kernel cpu equivalences; the sparse-only kernels
-// have their own contracts (see DESIGN.md "Sparse event path"):
+// Every other dense table slot reuses the reference cpu kernel. The hoisted
+// conv sums each unit's taps in the reference order, so every dense slot is
+// bitwise-equal to `cpu`; the event-driven kernels have their own contracts
+// (see DESIGN.md "Sparse event path"):
 //  * regular event lists are BITWISE step-identical to the dense
 //    regular_encode kernel (each candidate spike is confirmed against the
 //    dense kernel's own comparisons before it is emitted);
@@ -150,12 +154,11 @@ void sparse_accumulate_cpu(Engine& engine, const SparseAccumulateArgs& a) {
   }
 }
 
-/// Gate-probability memo, same scheme as kernels_simd.cpp: keyed by the
-/// exact gap bits and the gate parameters, so a hit replays bit-identical
-/// p_pot/p_dep_stale values. Spike times sit on the dt grid — a flushed
-/// event chain sees few distinct gaps, so the two exp() calls per
-/// synapse-event mostly become two compares. Thread-local storage keeps
-/// partitioned dispatch safe.
+/// Gate-probability memo: keyed by the exact gap bits and the gate
+/// parameters, so a hit replays bit-identical p_pot/p_dep_stale values.
+/// Spike times sit on the dt grid — a flushed event chain sees few distinct
+/// gaps, so the two exp() calls per synapse-event mostly become two
+/// compares. Thread-local storage keeps partitioned dispatch safe.
 struct FlushGateMemoSlot {
   double gap = -1.0;  // gaps are >= 0, so -1 never matches
   double gamma_pot = 0.0;
@@ -471,16 +474,101 @@ void stdp_flush_cpu(Engine& engine, const StdpFlushArgs& a) {
   });
 }
 
+/// Spatially-hoisted conv accumulate: one logical thread per OUTPUT POSITION
+/// (not per unit). The window-membership test and tap offset of each active
+/// input are computed once and reused across the whole filter bank (the
+/// reference gather redoes them per filter), with the bank processed in
+/// fixed-size register blocks. Per (filter, position) unit the taps still
+/// accumulate in ascending active order — the same association as the
+/// reference kernel, so results are bitwise equal (tests/test_backend.cpp,
+/// tests/test_prop_differential.cpp).
+void conv_accumulate_hoisted(Engine& engine, const ConvAccumulateArgs& a) {
+  const auto currents = a.currents;
+  const auto active = a.active_pre;
+  const auto filters = a.filters;
+  const std::size_t kernel = a.kernel;
+  const std::size_t stride = a.stride;
+  const std::size_t in_w = a.in_width;
+  const std::size_t in_plane = a.in_width * a.in_height;
+  const std::size_t out_plane = a.out_width * a.out_height;
+  const std::size_t taps = a.in_channels * kernel * kernel;
+  const std::size_t filter_count = a.filter_count;
+  const double amplitude = a.amplitude;
+  const double decay = a.decay_factor;
+
+  constexpr std::size_t kFilterBlock = 16;  // accumulators held on the stack
+
+  engine.launch("graph.conv", out_plane, [&](std::size_t s) {
+    const std::size_t y0 = (s / a.out_width) * stride;
+    const std::size_t x0 = (s % a.out_width) * stride;
+    // Hoisted geometry: tap index of every in-window active input, computed
+    // once for all filters (the reference gather redoes this per filter).
+    // Stack slots, no heap; overflow falls back to the reference gather.
+    std::size_t hit_tap[64];
+    std::size_t hits = 0;
+    bool overflow = false;
+    for (const ChannelIndex p : active) {
+      const std::size_t c = p / in_plane;
+      const std::size_t q = p % in_plane;
+      const std::size_t y = q / in_w;
+      const std::size_t x = q % in_w;
+      if (y < y0 || y >= y0 + kernel || x < x0 || x >= x0 + kernel) continue;
+      if (hits == 64) {
+        overflow = true;
+        break;
+      }
+      hit_tap[hits++] = (c * kernel + (y - y0)) * kernel + (x - x0);
+    }
+
+    if (overflow) {
+      // Slow path (more than 64 in-window active inputs in one step): the
+      // reference per-filter gather, same association.
+      for (std::size_t f = 0; f < filter_count; ++f) {
+        const double* w = filters.data() + f * taps;
+        double acc = 0.0;
+        for (const ChannelIndex p : active) {
+          const std::size_t c = p / in_plane;
+          const std::size_t q = p % in_plane;
+          const std::size_t y = q / in_w;
+          const std::size_t x = q % in_w;
+          if (y < y0 || y >= y0 + kernel || x < x0 || x >= x0 + kernel) {
+            continue;
+          }
+          acc += w[(c * kernel + (y - y0)) * kernel + (x - x0)];
+        }
+        const std::size_t u = f * out_plane + s;
+        currents[u] = currents[u] * decay + amplitude * acc;
+      }
+      return;
+    }
+
+    for (std::size_t f0 = 0; f0 < filter_count; f0 += kFilterBlock) {
+      const std::size_t fn = std::min(kFilterBlock, filter_count - f0);
+      double acc[kFilterBlock] = {};
+      for (std::size_t h = 0; h < hits; ++h) {
+        const std::size_t tap = hit_tap[h];
+        const double* w = filters.data() + f0 * taps + tap;
+        for (std::size_t j = 0; j < fn; ++j) acc[j] += w[j * taps];
+      }
+      for (std::size_t j = 0; j < fn; ++j) {
+        const std::size_t u = (f0 + j) * out_plane + s;
+        currents[u] = currents[u] * decay + amplitude * acc[j];
+      }
+    }
+  });
+}
+
 }  // namespace
 
 const KernelTable& cpu_sparse_kernel_table() {
   static const KernelTable table = [] {
     KernelTable t = cpu_kernel_table();  // dense slots: reference kernels
-    // conv_accumulate / pool_forward also inherit the reference gather: on
-    // this backend the layer graph feeds them per-step SLICES of the
-    // presentation's SpikeEventList (inter-layer propagation is event-driven,
-    // O(spikes) instead of O(channels×steps)); the per-unit tap association
-    // is unchanged, so conv output is bitwise-equal across backends.
+    // The layer graph feeds conv_accumulate / pool_forward per-step SLICES
+    // of the presentation's SpikeEventList on this backend (inter-layer
+    // propagation is event-driven, O(spikes) instead of O(channels×steps)).
+    // The hoisted conv keeps the reference per-unit tap association, so
+    // conv output is bitwise-equal across backends.
+    t.conv_accumulate = conv_accumulate_hoisted;
     t.poisson_encode_events = poisson_encode_events_cpu;
     t.regular_encode_events = regular_encode_events_cpu;
     t.sparse_accumulate = sparse_accumulate_cpu;

@@ -9,15 +9,15 @@ namespace pss {
 StatePool::StatePool(Backend* backend, Geometry geometry)
     : backend_(backend ? backend : &default_backend()),
       geometry_(geometry),
-      membrane_(backend_, geometry.neurons, 0.0),
-      recovery_(backend_, geometry.neurons, 0.0),
-      last_spike_(backend_, geometry.neurons, kNeverSpiked),
-      inhibited_until_(backend_, geometry.neurons, -1.0),
-      spiked_(backend_, geometry.neurons, std::uint8_t{0}),
-      currents_(backend_, geometry.neurons, 0.0),
-      rates_(backend_, geometry.channels, 0.0),
-      last_pre_spike_(backend_, geometry.channels, kNeverSpiked),
-      g_(backend_, geometry.neurons * geometry.channels, 0.0) {
+      membrane_(geometry.neurons, 0.0),
+      recovery_(geometry.neurons, 0.0),
+      last_spike_(geometry.neurons, kNeverSpiked),
+      inhibited_until_(geometry.neurons, -1.0),
+      spiked_(geometry.neurons, std::uint8_t{0}),
+      currents_(geometry.neurons, 0.0),
+      rates_(geometry.channels, 0.0),
+      last_pre_spike_(geometry.channels, kNeverSpiked),
+      g_(geometry.neurons * geometry.channels, 0.0) {
   PSS_REQUIRE(geometry.neurons > 0, "state pool needs at least one neuron");
 }
 
@@ -25,13 +25,13 @@ PopulationHandle StatePool::add_population(Geometry geometry) {
   PSS_REQUIRE(geometry.neurons > 0, "population needs at least one neuron");
   ExtraPopulation p;
   p.geometry = geometry;
-  p.membrane = PoolBuffer<double>(backend_, geometry.neurons, 0.0);
-  p.recovery = PoolBuffer<double>(backend_, geometry.neurons, 0.0);
-  p.last_spike = PoolBuffer<TimeMs>(backend_, geometry.neurons, kNeverSpiked);
-  p.inhibited_until = PoolBuffer<TimeMs>(backend_, geometry.neurons, -1.0);
-  p.spiked = PoolBuffer<std::uint8_t>(backend_, geometry.neurons, 0);
-  p.currents = PoolBuffer<double>(backend_, geometry.neurons, 0.0);
-  p.spike_counts = PoolBuffer<std::uint32_t>(backend_, geometry.neurons, 0);
+  p.membrane.assign(geometry.neurons, 0.0);
+  p.recovery.assign(geometry.neurons, 0.0);
+  p.last_spike.assign(geometry.neurons, kNeverSpiked);
+  p.inhibited_until.assign(geometry.neurons, -1.0);
+  p.spiked.assign(geometry.neurons, 0);
+  p.currents.assign(geometry.neurons, 0.0);
+  p.spike_counts.assign(geometry.neurons, 0);
   extra_.push_back(std::move(p));
   return extra_.size();  // handle 0 is the primary population
 }
@@ -48,32 +48,32 @@ StatePool::Geometry StatePool::population_geometry(PopulationHandle h) const {
 }
 
 std::span<double> StatePool::membrane(PopulationHandle h) {
-  return h == 0 ? membrane_.span() : extra(h).membrane.span();
+  return h == 0 ? membrane_ : extra(h).membrane;
 }
 
 std::span<double> StatePool::recovery(PopulationHandle h) {
-  return h == 0 ? recovery_.span() : extra(h).recovery.span();
+  return h == 0 ? recovery_ : extra(h).recovery;
 }
 
 std::span<TimeMs> StatePool::last_spike(PopulationHandle h) {
-  return h == 0 ? last_spike_.span() : extra(h).last_spike.span();
+  return h == 0 ? last_spike_ : extra(h).last_spike;
 }
 
 std::span<TimeMs> StatePool::inhibited_until(PopulationHandle h) {
-  return h == 0 ? inhibited_until_.span() : extra(h).inhibited_until.span();
+  return h == 0 ? inhibited_until_ : extra(h).inhibited_until;
 }
 
 std::span<std::uint8_t> StatePool::spiked(PopulationHandle h) {
-  return h == 0 ? spiked_.span() : extra(h).spiked.span();
+  return h == 0 ? spiked_ : extra(h).spiked;
 }
 
 std::span<double> StatePool::currents(PopulationHandle h) {
-  return h == 0 ? currents_.span() : extra(h).currents.span();
+  return h == 0 ? currents_ : extra(h).currents;
 }
 
 std::span<std::uint32_t> StatePool::spike_counts(PopulationHandle h) {
   PSS_REQUIRE(h >= 1, "the primary population has no spike-count section");
-  return extra(h).spike_counts.span();
+  return extra(h).spike_counts;
 }
 
 void StatePool::set_g_bounds(double g_min, double g_max) {
@@ -81,7 +81,7 @@ void StatePool::set_g_bounds(double g_min, double g_max) {
   g_min_ = g_min;
   g_max_ = g_max;
   learn_hi_ = g_max;
-  g_.fill(g_min);
+  std::fill(g_.begin(), g_.end(), g_min);
 }
 
 void StatePool::set_learn_cap(double cap) {
@@ -90,13 +90,13 @@ void StatePool::set_learn_cap(double cap) {
 
 std::span<double> StatePool::g_row(NeuronIndex post) {
   PSS_REQUIRE(post < geometry_.neurons, "post index out of range");
-  return g_.span().subspan(
+  return std::span(g_).subspan(
       static_cast<std::size_t>(post) * geometry_.channels, geometry_.channels);
 }
 
 std::span<const double> StatePool::g_row(NeuronIndex post) const {
   PSS_REQUIRE(post < geometry_.neurons, "post index out of range");
-  return g_.span().subspan(
+  return std::span(g_).subspan(
       static_cast<std::size_t>(post) * geometry_.channels, geometry_.channels);
 }
 
@@ -107,14 +107,12 @@ double StatePool::clamp_g(double value) const {
 void StatePool::load_g(std::span<const double> values, bool clamp) {
   PSS_REQUIRE(values.size() == g_.size(),
               "conductance load size must equal synapse count");
-  auto dst = g_.span();
   if (clamp) {
     for (std::size_t i = 0; i < values.size(); ++i) {
-      dst[i] = clamp_g(values[i]);
+      g_[i] = clamp_g(values[i]);
     }
   } else {
-    backend_->copy_to_device(dst.data(), values.data(),
-                             values.size() * sizeof(double));
+    std::copy(values.begin(), values.end(), g_.begin());
   }
 }
 
@@ -123,17 +121,15 @@ void StatePool::build_sparse() {
   const std::size_t channels = geometry_.channels;
   const std::size_t neurons = geometry_.neurons;
   PSS_REQUIRE(channels > 0, "sparse sections need an encoder/synapse section");
-  csr_row_ptr_ = PoolBuffer<std::uint32_t>(backend_, channels + 1, 0);
-  csr_cols_ = PoolBuffer<NeuronIndex>(backend_, channels * neurons, 0);
-  stdp_progress_ = PoolBuffer<std::uint32_t>(backend_, neurons * channels, 0);
-  auto row_ptr = csr_row_ptr_.span();
-  auto cols = csr_cols_.span();
+  csr_row_ptr_.resize(channels + 1);
+  csr_cols_.resize(channels * neurons);
+  stdp_progress_.assign(neurons * channels, 0);
   for (std::size_t c = 0; c <= channels; ++c) {
-    row_ptr[c] = static_cast<std::uint32_t>(c * neurons);
+    csr_row_ptr_[c] = static_cast<std::uint32_t>(c * neurons);
   }
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t j = 0; j < neurons; ++j) {
-      cols[c * neurons + j] = static_cast<NeuronIndex>(j);
+      csr_cols_[c * neurons + j] = static_cast<NeuronIndex>(j);
     }
   }
 }
@@ -142,14 +138,14 @@ std::span<std::uint32_t> StatePool::stdp_progress_row(NeuronIndex post) {
   PSS_REQUIRE(post < geometry_.neurons, "post index out of range");
   PSS_REQUIRE(stdp_progress_.size() != 0,
               "stdp progress requires build_sparse()");
-  return stdp_progress_.span().subspan(
+  return std::span(stdp_progress_).subspan(
       static_cast<std::size_t>(post) * geometry_.channels, geometry_.channels);
 }
 
 void StatePool::init_g_uniform(double lo, double hi, SequentialRng& rng,
                                const Quantizer* quantizer) {
   PSS_REQUIRE(hi >= lo, "invalid init range");
-  for (auto& value : g_.span()) {
+  for (auto& value : g_) {
     double v = clamp_g(rng.uniform(lo, hi));
     if (quantizer) v = quantizer->quantize(v, rng.uniform());
     value = v;

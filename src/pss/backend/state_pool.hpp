@@ -1,9 +1,7 @@
-// StatePool — the per-presentation hot state as structure-of-arrays buffers
-// owned by a Backend.
+// StatePool — the per-presentation hot state as structure-of-arrays
+// sections, bound to the Backend whose kernels read them.
 //
-// Everything the five hot kernels touch lives here, allocated through the
-// backend's buffer seam (host memory on CPU backends; device memory on a
-// future CUDA backend):
+// Everything the five hot kernels touch lives here:
 //
 //   per neuron   membrane v, recovery u (Izhikevich), last-spike time,
 //                inhibition deadline, spike flag, synaptic current
@@ -15,15 +13,13 @@
 // pool across its front-end layers: the primary population (handle 0) hosts
 // the encoder sections and every conv/pool layer adds a population segment
 // via add_population() — per-layer neuron/current/spike sections behind
-// stable handles, all allocated through the same backend seam.
-// The pool also owns the ONE
+// stable handles. The pool also owns the ONE
 // bounds-checked conductance-row accessor (g_row) and the single clamp /
 // bulk-load path — the STDP updaters, checkpoint restore and trainer merge
 // all route through it instead of keeping private copies of the bounds
 // logic.
 #pragma once
 
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -33,56 +29,6 @@
 #include "pss/fixedpoint/quantizer.hpp"
 
 namespace pss {
-
-/// A typed device buffer allocated through a Backend (the device_vector
-/// analogue for pool sections). Move-only; frees on destruction.
-template <typename T>
-class PoolBuffer {
- public:
-  PoolBuffer() = default;
-  PoolBuffer(Backend* backend, std::size_t count, T fill)
-      : backend_(backend), size_(count) {
-    if (count == 0) return;
-    data_ = static_cast<T*>(backend_->alloc_bytes(count * sizeof(T)));
-    for (std::size_t i = 0; i < count; ++i) data_[i] = fill;
-  }
-  ~PoolBuffer() { release(); }
-
-  PoolBuffer(const PoolBuffer&) = delete;
-  PoolBuffer& operator=(const PoolBuffer&) = delete;
-  PoolBuffer(PoolBuffer&& other) noexcept { swap(other); }
-  PoolBuffer& operator=(PoolBuffer&& other) noexcept {
-    if (this != &other) {
-      release();
-      swap(other);
-    }
-    return *this;
-  }
-
-  std::size_t size() const { return size_; }
-  std::span<T> span() { return {data_, size_}; }
-  std::span<const T> span() const { return {data_, size_}; }
-
-  void fill(T value) {
-    for (std::size_t i = 0; i < size_; ++i) data_[i] = value;
-  }
-
- private:
-  void release() noexcept {
-    if (data_) backend_->free_bytes(data_, size_ * sizeof(T));
-    data_ = nullptr;
-    size_ = 0;
-  }
-  void swap(PoolBuffer& other) noexcept {
-    std::swap(backend_, other.backend_);
-    std::swap(data_, other.data_);
-    std::swap(size_, other.size_);
-  }
-
-  Backend* backend_ = nullptr;
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
 
 /// Stable identifier of one population segment inside a StatePool. Handle 0
 /// is the primary population (the one the no-handle accessors address, and
@@ -131,26 +77,26 @@ class StatePool {
   std::span<std::uint32_t> spike_counts(PopulationHandle h);
 
   // --- per-neuron sections -------------------------------------------------
-  std::span<double> membrane() { return membrane_.span(); }
-  std::span<const double> membrane() const { return membrane_.span(); }
-  std::span<double> recovery() { return recovery_.span(); }
-  std::span<const double> recovery() const { return recovery_.span(); }
-  std::span<TimeMs> last_spike() { return last_spike_.span(); }
-  std::span<const TimeMs> last_spike() const { return last_spike_.span(); }
-  std::span<TimeMs> inhibited_until() { return inhibited_until_.span(); }
+  std::span<double> membrane() { return membrane_; }
+  std::span<const double> membrane() const { return membrane_; }
+  std::span<double> recovery() { return recovery_; }
+  std::span<const double> recovery() const { return recovery_; }
+  std::span<TimeMs> last_spike() { return last_spike_; }
+  std::span<const TimeMs> last_spike() const { return last_spike_; }
+  std::span<TimeMs> inhibited_until() { return inhibited_until_; }
   std::span<const TimeMs> inhibited_until() const {
-    return inhibited_until_.span();
+    return inhibited_until_;
   }
-  std::span<std::uint8_t> spiked() { return spiked_.span(); }
-  std::span<double> currents() { return currents_.span(); }
-  std::span<const double> currents() const { return currents_.span(); }
+  std::span<std::uint8_t> spiked() { return spiked_; }
+  std::span<double> currents() { return currents_; }
+  std::span<const double> currents() const { return currents_; }
 
   // --- per-channel sections ------------------------------------------------
-  std::span<double> rates() { return rates_.span(); }
-  std::span<const double> rates() const { return rates_.span(); }
-  std::span<TimeMs> last_pre_spike() { return last_pre_spike_.span(); }
+  std::span<double> rates() { return rates_; }
+  std::span<const double> rates() const { return rates_; }
+  std::span<TimeMs> last_pre_spike() { return last_pre_spike_; }
   std::span<const TimeMs> last_pre_spike() const {
-    return last_pre_spike_.span();
+    return last_pre_spike_;
   }
 
   // --- conductance section (neurons × channels, post-major) ---------------
@@ -168,8 +114,8 @@ class StatePool {
   double learn_lo() const { return g_min_; }
   double learn_hi() const { return learn_hi_; }
 
-  std::span<double> g() { return g_.span(); }
-  std::span<const double> g() const { return g_.span(); }
+  std::span<double> g() { return g_; }
+  std::span<const double> g() const { return g_; }
 
   /// THE conductance-row accessor: bounds-checked contiguous row of one
   /// post-neuron. Every consumer (STDP kernels, checkpoint restore, fused
@@ -202,28 +148,26 @@ class StatePool {
   void build_sparse();
   bool has_sparse() const { return csr_row_ptr_.size() != 0; }
 
-  std::span<const std::uint32_t> csr_row_ptr() const {
-    return csr_row_ptr_.span();
-  }
-  std::span<const NeuronIndex> csr_cols() const { return csr_cols_.span(); }
+  std::span<const std::uint32_t> csr_row_ptr() const { return csr_row_ptr_; }
+  std::span<const NeuronIndex> csr_cols() const { return csr_cols_; }
 
   /// Per-synapse applied-event counters for the lazy-STDP flush, post-major
   /// like g(): row(post) counts how many of post's pending events each
   /// afferent synapse has absorbed. Presentation scratch (reset each
-  /// presentation), pool-resident so the flush kernel reads device memory.
+  /// presentation), pool-resident next to the conductances it tracks.
   std::span<std::uint32_t> stdp_progress_row(NeuronIndex post);
 
  private:
   /// One extra population's SoA sections (see add_population).
   struct ExtraPopulation {
     Geometry geometry;
-    PoolBuffer<double> membrane;
-    PoolBuffer<double> recovery;
-    PoolBuffer<TimeMs> last_spike;
-    PoolBuffer<TimeMs> inhibited_until;
-    PoolBuffer<std::uint8_t> spiked;
-    PoolBuffer<double> currents;
-    PoolBuffer<std::uint32_t> spike_counts;
+    std::vector<double> membrane;
+    std::vector<double> recovery;
+    std::vector<TimeMs> last_spike;
+    std::vector<TimeMs> inhibited_until;
+    std::vector<std::uint8_t> spiked;
+    std::vector<double> currents;
+    std::vector<std::uint32_t> spike_counts;
   };
 
   ExtraPopulation& extra(PopulationHandle h);
@@ -231,24 +175,24 @@ class StatePool {
   Backend* backend_;
   Geometry geometry_;
 
-  PoolBuffer<double> membrane_;
-  PoolBuffer<double> recovery_;
-  PoolBuffer<TimeMs> last_spike_;
-  PoolBuffer<TimeMs> inhibited_until_;
-  PoolBuffer<std::uint8_t> spiked_;
-  PoolBuffer<double> currents_;
+  std::vector<double> membrane_;
+  std::vector<double> recovery_;
+  std::vector<TimeMs> last_spike_;
+  std::vector<TimeMs> inhibited_until_;
+  std::vector<std::uint8_t> spiked_;
+  std::vector<double> currents_;
 
-  PoolBuffer<double> rates_;
-  PoolBuffer<TimeMs> last_pre_spike_;
+  std::vector<double> rates_;
+  std::vector<TimeMs> last_pre_spike_;
 
-  PoolBuffer<double> g_;
+  std::vector<double> g_;
   double g_min_ = 0.0;
   double g_max_ = 1.0;
   double learn_hi_ = 1.0;
 
-  PoolBuffer<std::uint32_t> csr_row_ptr_;
-  PoolBuffer<NeuronIndex> csr_cols_;
-  PoolBuffer<std::uint32_t> stdp_progress_;
+  std::vector<std::uint32_t> csr_row_ptr_;
+  std::vector<NeuronIndex> csr_cols_;
+  std::vector<std::uint32_t> stdp_progress_;
 
   std::vector<ExtraPopulation> extra_;
 };

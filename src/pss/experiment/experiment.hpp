@@ -60,8 +60,8 @@ struct ExperimentSpec {
 
   std::uint64_t seed = 1;
 
-  /// Compute backend name (registry key: cpu | cpu_simd | cuda stub). The
-  /// spec validates the name at network construction time.
+  /// Compute backend name (registry key: cpu | cpu_sparse). The spec
+  /// validates the name at network construction time.
   std::string backend = "cpu";
 
   /// Fault tolerance: write a training checkpoint every N images to

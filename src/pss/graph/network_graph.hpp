@@ -4,9 +4,8 @@
 //
 // Execution model (one presentation):
 //   1. The encoder turns input rates into per-step active-channel lists —
-//      dense per-step Bernoulli on cpu/cpu_simd, a SpikeEventList built once
-//      and sliced per step on event-driven backends (sparse inter-layer
-//      propagation).
+//      dense per-step Bernoulli on cpu, a SpikeEventList built once and
+//      sliced per step on cpu_sparse (sparse inter-layer propagation).
 //   2. Each conv layer gathers the step's active list through its fixed
 //      DoG/Gabor filter bank (conv_accumulate kernel) into per-unit currents
 //      and advances its integrate-and-fire population (lif_step kernel over

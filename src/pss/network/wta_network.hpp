@@ -39,8 +39,8 @@ const char* neuron_model_name(NeuronModelKind kind);
 
 struct WtaConfig {
   /// Compute backend the network's state and kernels live on — a name from
-  /// the backend registry ("cpu", "cpu_simd"; see src/pss/backend/).
-  /// Construction throws pss::Error for unknown or unavailable names.
+  /// the backend registry ("cpu", "cpu_sparse"; see src/pss/backend/).
+  /// Construction throws pss::Error for unknown names.
   std::string backend = "cpu";
 
   std::size_t input_channels = kImagePixels;

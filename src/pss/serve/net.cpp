@@ -1,5 +1,6 @@
 #include "pss/serve/net.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "pss/common/error.hpp"
@@ -10,6 +11,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>   // pss-lint: allow(raw-socket-syscall)
+#include <netinet/tcp.h>  // pss-lint: allow(raw-socket-syscall)
 #include <poll.h>
 #include <sys/socket.h>   // pss-lint: allow(raw-socket-syscall)
 #include <unistd.h>
@@ -44,6 +46,14 @@ std::uint64_t deadline_from(int timeout_ms) {
   return obs::monotonic_ns() +
          static_cast<std::uint64_t>(timeout_ms < 0 ? 0 : timeout_ms) *
              1000000ull;
+}
+
+/// Frames are request/response messages, each written with one send(), so
+/// Nagle's algorithm could only hold a frame back waiting for the peer's
+/// delayed ACK (~40 ms on Linux). Set on every connected socket.
+void disable_nagle(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);  // pss-lint: allow(raw-socket-syscall)
 }
 
 int remaining_ms(std::uint64_t deadline_ns) {
@@ -96,7 +106,10 @@ int listen_loopback(std::uint16_t port, int backlog,
 int accept_connection(int listen_fd, int timeout_ms) {
   if (!wait_fd(listen_fd, POLLIN, timeout_ms)) return -1;
   const int fd = ::accept(listen_fd, nullptr, nullptr);  // pss-lint: allow(raw-socket-syscall)
-  if (fd >= 0) disable_sigpipe(fd);
+  if (fd >= 0) {
+    disable_sigpipe(fd);
+    disable_nagle(fd);
+  }
   return fd;
 }
 
@@ -136,6 +149,7 @@ int connect_loopback(std::uint16_t port, int timeout_ms) {
     }
   }
   ::fcntl(fd, F_SETFL, flags);
+  disable_nagle(fd);
   return fd;
 }
 
@@ -199,16 +213,16 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
 
 bool write_frame(int fd, std::span<const std::uint8_t> payload,
                  int timeout_ms) {
-  const std::uint64_t deadline = deadline_from(timeout_ms);
+  // Prefix and payload go out in one buffer, so a frame costs one send():
+  // two small writes per frame would stall on Nagle + delayed ACK.
   const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
-  const std::uint8_t prefix[4] = {
-      static_cast<std::uint8_t>(size & 0xff),
-      static_cast<std::uint8_t>((size >> 8) & 0xff),
-      static_cast<std::uint8_t>((size >> 16) & 0xff),
-      static_cast<std::uint8_t>((size >> 24) & 0xff)};
-  if (!write_all(fd, prefix, sizeof prefix, timeout_ms)) return false;
-  if (payload.empty()) return true;
-  return write_all(fd, payload.data(), payload.size(), remaining_ms(deadline));
+  std::vector<std::uint8_t> frame(4 + payload.size());
+  frame[0] = static_cast<std::uint8_t>(size & 0xff);
+  frame[1] = static_cast<std::uint8_t>((size >> 8) & 0xff);
+  frame[2] = static_cast<std::uint8_t>((size >> 16) & 0xff);
+  frame[3] = static_cast<std::uint8_t>((size >> 24) & 0xff);
+  std::copy(payload.begin(), payload.end(), frame.begin() + 4);
+  return write_all(fd, frame.data(), frame.size(), timeout_ms);
 }
 
 void close_fd(int fd) {

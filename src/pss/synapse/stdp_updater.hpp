@@ -95,7 +95,8 @@ class StdpUpdater {
   /// probabilities supplied by the caller instead of recomputed here.
   /// Bitwise-identical to update_at_post_spike(g, gap, ...) whenever
   /// p_pot == gate().p_pot(gap) and p_dep_stale == gate().p_dep_stale(gap);
-  /// exists so bulk kernels (cpu_simd) can hoist/memoize the exp() calls —
+  /// exists so bulk kernels (the cpu_sparse lazy-STDP flush) can
+  /// hoist/memoize the exp() calls —
   /// e.g. every never-fired pre shares p_pot(∞) = +0 and
   /// p_dep_stale(∞) = γ_dep exactly. Stochastic rule only.
   double update_at_post_spike_gated(double g, double p_pot,

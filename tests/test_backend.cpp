@@ -1,20 +1,16 @@
 // Compute-backend layer tests (see src/pss/backend/):
-//  * registry behavior — names, availability, unknown-name and cuda-stub
-//    error messages;
+//  * registry behavior — exactly {cpu, cpu_sparse}; unknown and removed
+//    names fail with a pss::Error listing the valid ones;
 //  * CounterRng::uniform_many — bitwise-identical to per-call uniform();
 //  * cpu backend — bitwise-equivalent kernel results at every worker count
 //    (tolerance 0: the cpu table IS the pre-backend code, moved verbatim);
-//  * cpu vs cpu_simd — stdp.row bitwise-identical; the fused step matches
-//    within a documented ULP bound (the SIMD row gather reassociates the
-//    conductance sum into four accumulators, so the per-neuron current may
-//    differ by a few ULP, never more — see kernels_simd.cpp);
-//  * StatePool — row bounds, clamped bulk load, size validation.
+//  * StatePool — row bounds, clamped bulk load, size validation;
+//  * cpu_sparse — event-slot gating, worker invariance, statistical match;
+//  * layer-graph kernels — bitwise across backends and worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -30,38 +26,24 @@
 namespace pss {
 namespace {
 
-TEST(BackendRegistry, ListsCpuBackendsAndCudaStub) {
-  const auto names = backend_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "cpu"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "cpu_simd"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "cpu_sparse"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "cuda"), names.end());
-  EXPECT_TRUE(backend_available("cpu"));
-  EXPECT_TRUE(backend_available("cpu_simd"));
-  EXPECT_TRUE(backend_available("cpu_sparse"));
-  EXPECT_FALSE(backend_available("cuda"));
-  EXPECT_FALSE(backend_available("tpu"));
+TEST(BackendRegistry, ListsExactlyCpuAndCpuSparse) {
+  EXPECT_EQ(backend_names(),
+            (std::vector<std::string>{"cpu", "cpu_sparse"}));
 }
 
 TEST(BackendRegistry, UnknownNameListsValidNames) {
-  try {
-    make_backend("gpu3000");
-    FAIL() << "expected pss::Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown backend"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("cpu_simd"), std::string::npos) << msg;
-  }
-}
-
-TEST(BackendRegistry, CudaStubExplainsTheGate) {
-  try {
-    make_backend("cuda");
-    FAIL() << "expected pss::Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("PSS_ENABLE_CUDA"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("backend=cpu"), std::string::npos) << msg;
+  for (const char* name : {"gpu3000", "cuda"}) {
+    try {
+      make_backend(name);
+      FAIL() << "expected pss::Error for " << name;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("unknown backend '") + name + "'"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("(known: cpu|cpu_sparse)"), std::string::npos)
+          << msg;
+    }
   }
 }
 
@@ -74,21 +56,6 @@ TEST(BackendRegistry, NetworkConfigRejectsUnknownBackend) {
 
 TEST(BackendRegistry, DefaultBackendIsCpu) {
   EXPECT_STREQ(default_backend().name(), "cpu");
-}
-
-TEST(BackendBuffers, AllocZeroFillsAndCopiesRoundTrip) {
-  auto backend = make_backend("cpu");
-  auto* p = static_cast<double*>(backend->alloc_bytes(16 * sizeof(double)));
-  ASSERT_NE(p, nullptr);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(p[i], 0.0);
-  std::vector<double> host(16);
-  for (int i = 0; i < 16; ++i) host[i] = 0.5 * i;
-  backend->copy_to_device(p, host.data(), 16 * sizeof(double));
-  std::vector<double> back(16, -1.0);
-  backend->copy_to_host(back.data(), p, 16 * sizeof(double));
-  EXPECT_EQ(back, host);
-  backend->synchronize();  // no-op on CPU, must not block or throw
-  backend->free_bytes(p, 16 * sizeof(double));
 }
 
 TEST(CounterRngBulk, UniformManyIsBitwiseIdenticalToPerCallDraws) {
@@ -208,74 +175,6 @@ TEST(BackendEquivalence, CpuKernelsAreWorkerCountInvariant) {
   }
 }
 
-/// stdp.row.simd consumes bitwise-identical draws (uniform_many) and its
-/// gate shortcut only skips provably-unchanged synapses, so the SIMD row
-/// update is exact — not approximately equal, EQUAL.
-TEST(BackendEquivalence, SimdStdpRowIsBitwiseIdentical) {
-  constexpr std::size_t kNeurons = 8;
-  constexpr std::size_t kChannels = 784;
-  const CounterRng rng(23, 5);
-  for (StdpKind kind : {StdpKind::kStochastic, StdpKind::kDeterministic}) {
-    for (DepressionMode dep :
-         {DepressionMode::kStaleAtPost, DepressionMode::kPreSpikeEq7,
-          DepressionMode::kBoth}) {
-      StdpUpdaterConfig cfg;
-      cfg.kind = kind;
-      cfg.depression = dep;
-      const StdpUpdater updater(cfg);
-      KernelRig a("cpu", 3, kNeurons, kChannels);
-      KernelRig b("cpu_simd", 3, kNeurons, kChannels);
-      for (TimeMs t = 1.0; t < 40.0; t += 1.0) {
-        a.backend->kernels().stdp_row(a.eng(),
-                                      a.stdp_args(updater, rng, 1, t));
-        b.backend->kernels().stdp_row(b.eng(),
-                                      b.stdp_args(updater, rng, 1, t));
-      }
-      for (std::size_t s = 0; s < kNeurons * kChannels; ++s) {
-        ASSERT_EQ(a.pool->g()[s], b.pool->g()[s])
-            << "synapse " << s << " kind=" << static_cast<int>(kind)
-            << " dep=" << static_cast<int>(dep);
-      }
-    }
-  }
-}
-
-/// Distance in representable doubles — the natural metric for reassociated
-/// floating-point sums.
-std::int64_t ulp_distance(double a, double b) {
-  if (a == b) return 0;
-  std::int64_t ia, ib;
-  std::memcpy(&ia, &a, sizeof(a));
-  std::memcpy(&ib, &b, sizeof(b));
-  if (ia < 0) ia = std::numeric_limits<std::int64_t>::min() - ia;
-  if (ib < 0) ib = std::numeric_limits<std::int64_t>::min() - ib;
-  return ia > ib ? ia - ib : ib - ia;
-}
-
-/// The SIMD fused step reassociates the per-row conductance gather into four
-/// accumulators: |cpu − cpu_simd| on the accumulated current is bounded by
-/// the reassociation error of an ~90-term double sum. 16 ULP is a generous
-/// documented bound (measured: ≤ 4 on this rig); the membrane update then
-/// runs in identical operation order on that current.
-TEST(BackendEquivalence, SimdFusedStepMatchesWithinUlpBound) {
-  constexpr std::int64_t kMaxUlp = 16;
-  KernelRig a("cpu", 4, 500, 784);
-  KernelRig b("cpu_simd", 4, 500, 784);
-  // A single step: trajectories may diverge once a borderline spike flips
-  // (documented in kernels_simd.cpp), so the per-kernel contract is checked
-  // one launch at a time against identical input state.
-  a.backend->kernels().lif_step_fused(a.eng(), a.lif_fused_args(0.5));
-  b.backend->kernels().lif_step_fused(b.eng(), b.lif_fused_args(0.5));
-  for (std::size_t i = 0; i < 500; ++i) {
-    EXPECT_LE(ulp_distance(a.pool->currents()[i], b.pool->currents()[i]),
-              kMaxUlp)
-        << i;
-    EXPECT_LE(ulp_distance(a.pool->membrane()[i], b.pool->membrane()[i]),
-              kMaxUlp)
-        << i;
-  }
-}
-
 // --- StatePool contracts ----------------------------------------------------
 
 TEST(StatePoolTest, RowAccessorChecksBounds) {
@@ -307,8 +206,8 @@ TEST(StatePoolTest, RejectsEmptyGeometryAndInvertedBounds) {
 // --- sparse event backend ---------------------------------------------------
 
 /// The event-path kernel slots are what WtaNetwork probes to pick the sparse
-/// loop: all four present on cpu_sparse, all four absent on the dense tables
-/// (dense backends need no stubs — the probe is the feature flag).
+/// loop: all four present on cpu_sparse, all four absent on the dense cpu
+/// table (it needs no stubs — the probe is the feature flag).
 TEST(SparseBackend, EventKernelSlotsGateTheSparsePath) {
   auto sparse = make_backend("cpu_sparse");
   EXPECT_NE(sparse->kernels().poisson_encode_events, nullptr);
@@ -318,13 +217,11 @@ TEST(SparseBackend, EventKernelSlotsGateTheSparsePath) {
   // The dense slots stay populated — the sparse table is an overlay, and
   // readout still uses the dense fused step.
   EXPECT_NE(sparse->kernels().lif_step_fused, nullptr);
-  for (const char* dense : {"cpu", "cpu_simd"}) {
-    auto backend = make_backend(dense);
-    EXPECT_EQ(backend->kernels().poisson_encode_events, nullptr) << dense;
-    EXPECT_EQ(backend->kernels().regular_encode_events, nullptr) << dense;
-    EXPECT_EQ(backend->kernels().sparse_accumulate, nullptr) << dense;
-    EXPECT_EQ(backend->kernels().stdp_flush, nullptr) << dense;
-  }
+  auto dense = make_backend("cpu");
+  EXPECT_EQ(dense->kernels().poisson_encode_events, nullptr);
+  EXPECT_EQ(dense->kernels().regular_encode_events, nullptr);
+  EXPECT_EQ(dense->kernels().sparse_accumulate, nullptr);
+  EXPECT_EQ(dense->kernels().stdp_flush, nullptr);
 }
 
 /// Whole-network worker-count invariance on the sparse path: event building,
@@ -400,7 +297,7 @@ TEST(SparseBackend, MatchesDenseBackendStatistically) {
 //
 // Both kernels promise bitwise-identical results on every backend and worker
 // count (kernels.hpp): conv taps accumulate in ascending active order, pool
-// is pure flag work. Run one geometry across {cpu, cpu_simd, cpu_sparse} ×
+// is pure flag work. Run one geometry across {cpu, cpu_sparse} ×
 // worker counts and assert exact equality against the cpu/1-worker result.
 
 struct ConvGeometry {
@@ -459,8 +356,7 @@ TEST(GraphKernels, ConvAccumulateIsBitwiseEqualAcrossBackendsAndWorkers) {
   const std::vector<double> want = geo.run("cpu", 1);
   // Sanity: the active list actually drove currents somewhere.
   EXPECT_NE(*std::max_element(want.begin(), want.end()), 0.0);
-  for (const std::string& name : {std::string("cpu"), std::string("cpu_simd"),
-                                  std::string("cpu_sparse")}) {
+  for (const std::string& name : backend_names()) {
     for (std::size_t workers : {1u, 3u, 4u}) {
       const std::vector<double> got = geo.run(name, workers);
       ASSERT_EQ(got, want) << name << " workers=" << workers;
@@ -502,8 +398,7 @@ TEST(GraphKernels, PoolForwardIsIdenticalAcrossBackendsAndWorkers) {
     // Counts accumulate per step: two identical steps double every flag.
     EXPECT_EQ(want.second[i], want.first[i] * 2u) << i;
   }
-  for (const std::string& name : {std::string("cpu"), std::string("cpu_simd"),
-                                  std::string("cpu_sparse")}) {
+  for (const std::string& name : backend_names()) {
     for (std::size_t workers : {1u, 4u}) {
       const auto got = run(name, workers);
       ASSERT_EQ(got.first, want.first) << name << " workers=" << workers;

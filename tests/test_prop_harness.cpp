@@ -332,12 +332,13 @@ TEST(PropDetection, BrokenStdpBoundIsCaughtWithReproducibleRepro) {
 }
 
 // ---------------------------------------------------------------------------
-// Detection drill 2 (acceptance criterion): a one-ULP divergence in the
-// cpu_simd conv kernel's results is caught by the differential property.
+// Detection drill 2: a one-ULP divergence in the results of cpu_sparse's
+// conv kernel (the hoisted implementation, not the reference gather) is
+// caught by the differential property.
 
 TEST(PropDetection, OneUlpBackendDivergenceIsCaughtWithReproducibleRepro) {
   const auto property = [](Source& s) {
-    // Small generated conv workload, run on cpu and cpu_simd.
+    // Small generated conv workload, run on cpu and cpu_sparse.
     const std::size_t kernel = s.range(2, 3);
     const std::size_t in_h = s.range(kernel, 6);
     const std::size_t in_w = s.range(kernel, 6);
@@ -354,10 +355,10 @@ TEST(PropDetection, OneUlpBackendDivergenceIsCaughtWithReproducibleRepro) {
 
     Engine engine(1);
     std::vector<double> reference(filters * out_h * out_w, 0.0);
-    std::vector<double> simd(reference);
+    std::vector<double> sparse(reference);
     for (auto [name, currents] :
          {std::pair<const char*, std::vector<double>*>{"cpu", &reference},
-          {"cpu_simd", &simd}}) {
+          {"cpu_sparse", &sparse}}) {
       ConvAccumulateArgs args;
       args.filters = filter_taps;
       args.filter_count = filters;
@@ -374,23 +375,23 @@ TEST(PropDetection, OneUlpBackendDivergenceIsCaughtWithReproducibleRepro) {
       args.currents = *currents;
       make_backend(name)->kernels().conv_accumulate(engine, args);
     }
-    // The deliberate divergence: nudge one cpu_simd output by one ULP.
-    if (!simd.empty() && simd[0] != 0.0) {
-      simd[0] = std::nextafter(simd[0], 1e308);
+    // The deliberate divergence: nudge one cpu_sparse output by one ULP.
+    if (!sparse.empty() && sparse[0] != 0.0) {
+      sparse[0] = std::nextafter(sparse[0], 1e308);
     }
     PSS_PROP_ASSERT(
-        std::memcmp(reference.data(), simd.data(),
+        std::memcmp(reference.data(), sparse.data(),
                     reference.size() * sizeof(double)) == 0,
-        "conv_accumulate diverged between cpu and cpu_simd");
+        "conv_accumulate diverged between cpu and cpu_sparse");
   };
-  const CheckResult r = prop::check("sabotaged_simd_divergence", property,
+  const CheckResult r = prop::check("sabotaged_sparse_divergence", property,
                                     quiet_options(150));
   ASSERT_TRUE(r.failed) << "harness failed to catch the one-ULP divergence";
   std::printf("caught one-ULP backend divergence; repro: %s\n",
               r.repro().c_str());
   EXPECT_NE(r.repro().find("PSS_PROP_CASE="), std::string::npos);
 
-  const CheckResult replay = prop::run_case("sabotaged_simd_divergence",
+  const CheckResult replay = prop::run_case("sabotaged_sparse_divergence",
                                             property, r.seed,
                                             r.failing_case);
   ASSERT_TRUE(replay.failed);

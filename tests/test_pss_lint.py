@@ -167,7 +167,7 @@ def main():
     # suppression — the rule is the determinism guarantee, not a guideline.
     repo_root = os.path.dirname(os.path.abspath(args.fixtures))
     repo_root = os.path.dirname(repo_root)
-    kernel_tus = ["kernels_cpu.cpp", "kernels_simd.cpp", "kernels_sparse.cpp"]
+    kernel_tus = ["kernels_cpu.cpp", "kernels_sparse.cpp"]
     for tu in kernel_tus:
         check(os.path.exists(
                   os.path.join(repo_root, "src", "pss", "backend", tu)),

@@ -727,6 +727,23 @@ TEST_F(ServeTest, StackedCheckpointServesTrainAndClassify) {
   EXPECT_GE(server.model_generation(), 2u);
 }
 
+/// Sequential round trips on one connection are not held back by Nagle's
+/// algorithm: each frame leaves in one send() on a TCP_NODELAY socket.
+/// Split prefix/payload writes stalled every round trip on the peer's
+/// delayed ACK (~40 ms each, seconds for the loop below).
+TEST_F(ServeTest, SequentialPingsAreNotDelayedByNagle) {
+  const std::string model = write_model("pss_serve_nagle.bin", 7);
+  serve::ServeServer server(base_options(model));
+  serve::ServeClient client(server.port());
+  const std::uint64_t start = obs::monotonic_ns();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(client.ping().status, serve::Status::kOk) << i;
+  }
+  const double seconds =
+      static_cast<double>(obs::monotonic_ns() - start) / 1e9;
+  EXPECT_LT(seconds, 1.0) << "50 sequential pings took " << seconds << " s";
+}
+
 TEST_F(ServeTest, ShutdownVerbStopsTheServerGracefully) {
   const std::string model = write_model("pss_serve_shutdown.bin", 7);
   serve::ServeServer server(base_options(model));

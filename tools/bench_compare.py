@@ -11,8 +11,8 @@ BASELINE is a pss.bench-baseline.v1 file (see bench/baselines/*.json):
       "schema": "pss.bench-baseline.v1",
       "bench": "backend",
       "metrics": {
-        "bench.backend.e2e.speedup":
-            {"value": 0.996, "tolerance": 0.15, "direction": "higher"}
+        "bench.backend.phase.aggregate.cpu_sparse.speedup":
+            {"value": 5.13, "tolerance": 0.3, "direction": "higher"}
       }
     }
 

@@ -16,8 +16,8 @@
 //   kind=stochastic|deterministic     option=fp32|16bit|8bit|4bit|2bit|highfreq
 //   rounding=nearest|trunc|stochastic neurons=100 train=400 label=250 eval=250
 //   seed=1  snapshot=<path>  maps=<path.pgm>  verbose=0|1
-//   backend=cpu|cpu_simd (cpu)  compute backend (see README "Compute
-//   backends"; cpu_simd vectorizes the fused-step and STDP-row kernels)
+//   backend=cpu|cpu_sparse (cpu)  compute backend (see README "Compute
+//   backends"; cpu_sparse is the event-driven, lazy-STDP fast path)
 //   workers=1 (0 = all cores; != 1 runs labelling/eval image-parallel with
 //   bitwise-identical results)  batch=1 (> 1 = minibatch STDP training)
 //

@@ -40,13 +40,12 @@ RoundingMode parse_rounding_mode(const std::string& name) {
 namespace {
 
 std::string require_known_backend(const std::string& name) {
-  std::vector<std::string> names;
+  const std::vector<std::string> names = backend_names();
   std::string known;
-  for (const BackendInfo& info : backend_registry()) {
-    if (info.name == name) return name;
+  for (const std::string& known_name : names) {
+    if (known_name == name) return name;
     if (!known.empty()) known += "|";
-    known += info.name;
-    names.push_back(info.name);
+    known += known_name;
   }
   throw Error("unknown backend '" + name + "' (known: " + known + ")" +
               suggestion_for(name, names));

@@ -39,9 +39,8 @@ StdpKind parse_stdp_kind(const std::string& name);
 ///   kind= option= rounding= neurons= train= label= eval= seed=
 ///   workers= batch= backend= checkpoints=
 ///   checkpoint= checkpoint_every= resume=
-/// `backend=` is validated against the backend registry so a typo fails at
-/// parse time; the cuda stub's gating message still surfaces at network
-/// construction (see src/pss/backend/backend.hpp).
+/// `backend=` is validated against the backend registry (cpu|cpu_sparse, see
+/// src/pss/backend/backend.hpp) so a typo fails at parse time.
 ExperimentSpec spec_from_config(const Config& cfg,
                                 const std::string& default_name);
 
