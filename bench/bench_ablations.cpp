@@ -16,29 +16,13 @@ ExperimentResult run_with(const bench::Scale& scale,
                           const LabeledDataset& data, std::uint64_t seed,
                           const std::function<void(WtaConfig&)>& patch,
                           const std::string& name) {
-  // run_learning_experiment derives the WtaConfig from the spec; for config
-  // ablations we inline the same protocol with a patched config.
   ExperimentSpec spec =
       bench::make_spec(scale, StdpKind::kStochastic, LearningOption::kFloat32,
                        seed);
   spec.name = name;
   WtaConfig cfg = spec.network_config();
   patch(cfg);
-  WtaNetwork net(cfg);
-  UnsupervisedTrainer trainer(net, spec.trainer_config());
-  trainer.train(data.train.head(spec.train_images));
-  const PixelFrequencyMap map(spec.trainer_config().f_min_hz,
-                              spec.trainer_config().f_max_hz);
-  const auto [label_set, eval_set] = data.labelling_split(spec.label_images);
-  const LabelingResult labels =
-      label_neurons(net, label_set, map, spec.t_label_ms);
-  SnnClassifier classifier(net, labels.neuron_labels, labels.class_count, map,
-                           spec.t_infer_ms);
-  ExperimentResult r;
-  r.name = name;
-  r.accuracy = classifier.evaluate(eval_set.head(spec.eval_images)).accuracy;
-  r.labelled_neurons = labels.labelled_neurons;
-  return r;
+  return run_learning_experiment(spec, data, cfg);
 }
 
 }  // namespace
@@ -156,18 +140,7 @@ int main(int argc, char** argv) {
         spec.train_images = scale.train_images;
         WtaConfig cfg = spec.network_config();
         if (!gain) cfg.reference_total_rate_hz = 0.0;
-        WtaNetwork net(cfg);
-        UnsupervisedTrainer trainer(net, spec.trainer_config());
-        trainer.train(mnist.train.head(spec.train_images));
-        const PixelFrequencyMap map(spec.trainer_config().f_min_hz,
-                                    spec.trainer_config().f_max_hz);
-        const auto [lset, eset] = mnist.labelling_split(spec.label_images);
-        const LabelingResult labels =
-            label_neurons(net, lset, map, spec.t_label_ms);
-        SnnClassifier cls(net, labels.neuron_labels, labels.class_count, map,
-                          spec.t_infer_ms);
-        const double acc =
-            cls.evaluate(eset.head(spec.eval_images)).accuracy;
+        const double acc = run_learning_experiment(spec, mnist, cfg).accuracy;
         t6.add_row({gain ? "on" : "off", format_fixed(f_max, 0),
                     format_fixed(100 * acc, 1)});
         csv.row({"auto_gain", (gain ? "on_" : "off_") + format_fixed(f_max, 0),

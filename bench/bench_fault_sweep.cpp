@@ -13,7 +13,7 @@
 // disturb the learned patterns less.
 #include "bench_common.hpp"
 #include "pss/io/csv.hpp"
-#include "pss/io/snapshot.hpp"
+#include "pss/graph/graph_snapshot.hpp"
 #include "pss/robust/synaptic_faults.hpp"
 
 using namespace pss;
@@ -41,22 +41,16 @@ int main(int argc, char** argv) {
          {StdpKind::kDeterministic, StdpKind::kStochastic}) {
       ExperimentSpec spec =
           bench::make_spec(scale, kind, LearningOption::kFloat32, seed);
-      WtaNetwork net(spec.network_config());
-      UnsupervisedTrainer trainer(net, spec.trainer_config());
-      trainer.train(mnist.train.head(spec.train_images));
-
-      const TrainerConfig tc = spec.trainer_config();
-      const PixelFrequencyMap map(tc.f_min_hz, tc.f_max_hz);
+      graph::NetworkGraph net = train_network(spec, mnist);
+      graph::GraphTrainer trainer(net, spec.trainer_config());
       const Dataset label_set = mnist.test.head(spec.label_images);
       const Dataset eval_set = mnist.test.slice(
           spec.label_images, spec.label_images + spec.eval_images);
-      const LabelingResult labels =
-          label_neurons(net, label_set, map, spec.t_label_ms);
-      const NetworkSnapshot snap = NetworkSnapshot::capture(net);
+      const std::size_t labelled = trainer.label(label_set);
+      const graph::GraphModel clean = graph::GraphModel::capture(net);
 
       std::printf("\n%s STDP (%zu/%zu neurons labelled)\n",
-                  stdp_kind_name(kind), labels.labelled_neurons,
-                  spec.neuron_count);
+                  stdp_kind_name(kind), labelled, spec.neuron_count);
       TablePrinter t({"fault rate", "stuck-at acc (%)", "perturb acc (%)"});
       for (const double rate : fault_rates) {
         std::vector<std::string> cells = {format_fixed(rate, 2)};
@@ -73,13 +67,15 @@ int main(int argc, char** argv) {
             plan.perturb_sigma = 0.2;
           }
 
-          WtaNetwork victim(spec.network_config());
-          snap.restore(victim);
+          graph::NetworkGraph victim(net.config());
+          clean.restore(victim);
           const robust::SynapticFaultSummary damage =
-              robust::apply_synaptic_faults(victim.conductance(), plan);
-          SnnClassifier classifier(victim, labels.neuron_labels,
-                                   labels.class_count, map, spec.t_infer_ms);
-          const double accuracy = classifier.evaluate(eval_set).accuracy;
+              robust::apply_synaptic_faults(victim.block(0).conductance(),
+                                            plan);
+          const double accuracy =
+              graph::GraphTrainer(victim, spec.trainer_config())
+                  .evaluate(eval_set)
+                  .accuracy();
 
           cells.push_back(format_fixed(100.0 * accuracy, 1));
           csv.row({std::string(stdp_kind_name(kind)), fault,

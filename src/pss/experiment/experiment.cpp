@@ -20,51 +20,42 @@ WtaConfig ExperimentSpec::network_config() const {
   return cfg;
 }
 
-TrainerConfig ExperimentSpec::trainer_config() const {
-  TrainerConfig cfg = TrainerConfig::from_table1(option);
+graph::GraphTrainerConfig ExperimentSpec::trainer_config() const {
+  graph::GraphTrainerConfig cfg =
+      graph::GraphTrainerConfig::from_table1(option);
   if (f_min_hz) cfg.f_min_hz = *f_min_hz;
   if (f_max_hz) cfg.f_max_hz = *f_max_hz;
   if (t_learn_ms) cfg.t_learn_ms = *t_learn_ms;
+  cfg.t_readout_ms = t_readout_ms;
   cfg.batch_size = batch_size;
   cfg.checkpoint_every = train_checkpoint_every;
   cfg.checkpoint_path = train_checkpoint_path;
+  cfg.divergence_checks = true;
   return cfg;
 }
 
-namespace {
-
-/// Labels and evaluates the current network state (shared by the final
-/// measurement and mid-training checkpoints). With a runner, both phases go
-/// image-parallel — the results are identical either way.
-double evaluate_now(WtaNetwork& network, const PixelFrequencyMap& map,
-                    const Dataset& label_set, const Dataset& eval_set,
-                    TimeMs t_label, TimeMs t_infer, BatchRunner* runner,
-                    std::size_t* labelled_out = nullptr) {
-  const LabelingResult labels =
-      runner ? label_neurons(network, label_set, map, t_label, *runner)
-             : label_neurons(network, label_set, map, t_label);
-  if (labelled_out) *labelled_out = labels.labelled_neurons;
-  SnnClassifier classifier(network, labels.neuron_labels, labels.class_count,
-                           map, t_infer);
-  return (runner ? classifier.evaluate(eval_set, *runner)
-                 : classifier.evaluate(eval_set))
-      .accuracy;
-}
-
-}  // namespace
-
 ExperimentResult run_learning_experiment(const ExperimentSpec& spec,
                                          const LabeledDataset& data) {
+  return run_learning_experiment(spec, data, spec.network_config());
+}
+
+ExperimentResult run_learning_experiment(const ExperimentSpec& spec,
+                                         const LabeledDataset& data,
+                                         const WtaConfig& network) {
   PSS_REQUIRE(spec.train_images > 0, "need training images");
   PSS_REQUIRE(!data.train.empty() && !data.test.empty(),
               "dataset must have train and test splits");
 
   Stopwatch total_clock;
-  WtaNetwork network(spec.network_config());
-  const TrainerConfig tcfg = spec.trainer_config();
-  UnsupervisedTrainer trainer(network, tcfg);
+  graph::NetworkGraph graph(graph::single_wta_graph(network));
+  // Image-parallel labelling/evaluation (bitwise the sequential result) and
+  // minibatch STDP both run on a BatchRunner.
+  std::optional<BatchRunner> runner;
+  if (spec.workers != 1 || spec.batch_size > 1) runner.emplace(spec.workers);
+  const graph::GraphTrainerConfig tcfg = spec.trainer_config();
+  graph::GraphTrainer trainer(graph, tcfg, runner ? &*runner : nullptr);
   if (!spec.resume_path.empty()) {
-    trainer.resume_from(robust::load_checkpoint(spec.resume_path));
+    trainer.resume_from(robust::load_stacked_checkpoint(spec.resume_path));
   }
   // Companion-paper synaptic faults (armed via `synapse.*` fault points):
   // damage the initial conductances before any training. STDP may later
@@ -73,17 +64,12 @@ ExperimentResult run_learning_experiment(const ExperimentSpec& spec,
   if (const robust::SynapticFaultPlan fault_plan =
           robust::synaptic_plan_from_injector();
       fault_plan.any()) {
-    const robust::SynapticFaultSummary damage =
-        robust::apply_synaptic_faults(network.conductance(), fault_plan);
+    const robust::SynapticFaultSummary damage = robust::apply_synaptic_faults(
+        graph.block(0).conductance(), fault_plan);
     PSS_LOG_INFO << "synaptic faults: " << damage.stuck_lo << " stuck-lo, "
                  << damage.stuck_hi << " stuck-hi, " << damage.perturbed
                  << " perturbed";
   }
-  const PixelFrequencyMap map(tcfg.f_min_hz, tcfg.f_max_hz);
-
-  std::optional<BatchRunner> runner;
-  if (spec.workers != 1 || spec.batch_size > 1) runner.emplace(spec.workers);
-  BatchRunner* runner_ptr = runner ? &*runner : nullptr;
 
   const Dataset train = data.train.head(spec.train_images);
   const auto [label_set_full, eval_set_full] =
@@ -115,35 +101,27 @@ ExperimentResult run_learning_experiment(const ExperimentSpec& spec,
       return;
     }
     Stopwatch cp_clock;
-    const double acc =
-        evaluate_now(network, map, cp_label, cp_eval, spec.t_label_ms,
-                     spec.t_infer_ms, runner_ptr);
+    trainer.label(cp_label);
+    const double acc = trainer.evaluate(cp_eval).accuracy();
     checkpoint_overhead_s += cp_clock.seconds();
     result.error_trace.push_back(
         {index + 1, static_cast<double>(index + 1) * tcfg.t_learn_ms,
          train_clock.seconds() - checkpoint_overhead_s, 1.0 - acc});
   };
-  // Minibatch STDP (spec.batch_size > 1) trains through the runner; with
-  // per-image updates the sequential trainer is the reference path.
-  TrainingStats tstats = spec.batch_size > 1
-                             ? trainer.train(train, *runner, on_image)
-                             : trainer.train(train, on_image);
+  const graph::TrainingStats tstats = trainer.train(train, on_image);
   result.train_wall_seconds = train_clock.seconds() - checkpoint_overhead_s;
   result.simulated_learning_ms = tstats.simulated_ms;
   result.lineage = trainer.lineage();
 
-  std::size_t labelled = 0;
-  result.accuracy =
-      evaluate_now(network, map, label_set_full, eval_set, spec.t_label_ms,
-                   spec.t_infer_ms, runner_ptr, &labelled);
+  result.labelled_neurons = trainer.label(label_set_full);
+  result.accuracy = trainer.evaluate(eval_set).accuracy();
   result.error_rate = 1.0 - result.accuracy;
-  result.labelled_neurons = labelled;
   result.error_trace.push_back({train.size(), tstats.simulated_ms,
                                 result.train_wall_seconds,
                                 result.error_rate});
 
   // Conductance-map quality metrics.
-  const ConductanceMatrix& g = network.conductance();
+  const ConductanceMatrix& g = graph.block(0).conductance();
   double contrast = 0.0;
   for (std::size_t j = 0; j < g.post_count(); ++j) {
     contrast += quartile_contrast(g.row(static_cast<NeuronIndex>(j)));
@@ -155,10 +133,21 @@ ExperimentResult run_learning_experiment(const ExperimentSpec& spec,
 
   result.total_wall_seconds = total_clock.seconds();
   PSS_LOG_INFO << spec.name << ": accuracy " << result.accuracy << " ("
-               << labelled << "/" << spec.neuron_count
+               << result.labelled_neurons << "/" << spec.neuron_count
                << " neurons labelled, " << result.train_wall_seconds
                << " s training)";
   return result;
+}
+
+graph::NetworkGraph train_network(const ExperimentSpec& spec,
+                                  const LabeledDataset& data) {
+  graph::NetworkGraph graph(graph::single_wta_graph(spec.network_config()));
+  graph::GraphTrainerConfig tcfg = spec.trainer_config();
+  tcfg.batch_size = 1;
+  tcfg.checkpoint_every = 0;
+  tcfg.checkpoint_path.clear();
+  graph::GraphTrainer(graph, tcfg).train(data.train.head(spec.train_images));
+  return graph;
 }
 
 std::vector<Image> conductance_maps(const WtaNetwork& network,

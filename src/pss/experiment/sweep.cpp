@@ -25,7 +25,7 @@ std::vector<SweepPoint> sweep(
 std::vector<SweepPoint> sweep_input_frequency(
     const ExperimentSpec& base, const LabeledDataset& data,
     const std::vector<double>& f_max_values, bool scale_t_learn) {
-  const TrainerConfig base_cfg = base.trainer_config();
+  const graph::GraphTrainerConfig base_cfg = base.trainer_config();
   const double ratio = base_cfg.f_min_hz / base_cfg.f_max_hz;
   return sweep(base, data, f_max_values,
                [&](ExperimentSpec& spec, double f_max) {

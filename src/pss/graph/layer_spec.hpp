@@ -1,4 +1,4 @@
-// Typed layer specifications for the composable network graph (DESIGN.md §6).
+// Typed layer specifications for the composable network graph (DESIGN.md §5b).
 //
 // A graph is encode → [conv → pool]* → wta+ → readout: a spike encoder over
 // the input plane(s), an optional convolutional front-end (fixed DoG/Gabor

@@ -150,6 +150,32 @@ void NetworkGraph::set_presentation_index(std::uint64_t index) {
   presentation_index_ = index;
 }
 
+void NetworkGraph::skip_presentations(std::uint64_t count, TimeMs duration_ms,
+                                      int learn_block) {
+  const std::size_t last = learn_block >= 0
+                               ? static_cast<std::size_t>(learn_block)
+                               : blocks_.size() - 1;
+  for (std::size_t b = 0; b <= last; ++b) {
+    blocks_.at(b).skip_presentations(count, duration_ms);
+  }
+  presentation_index_ += count;
+}
+
+NetworkGraph NetworkGraph::replicate(Engine* engine) const {
+  NetworkGraph twin(config_, engine);
+  twin.sync_from(*this);
+  return twin;
+}
+
+void NetworkGraph::sync_from(const NetworkGraph& source) {
+  PSS_REQUIRE(blocks_.size() == source.blocks_.size(),
+              "sync_from requires graphs of the same architecture");
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    blocks_[b].sync_from(source.blocks_[b]);
+  }
+  presentation_index_ = source.presentation_index_;
+}
+
 void NetworkGraph::set_neuron_labels(std::vector<int> labels) {
   PSS_REQUIRE(labels.size() == output_units(),
               "label vector size must match the final block");

@@ -1,4 +1,4 @@
-// NetworkGraph — the composable layer graph (DESIGN.md §6): encode →
+// NetworkGraph — the composable layer graph (DESIGN.md §5b): encode →
 // conv/pool front-end → stacked WTA/STDP blocks → readout, executed
 // per-timestep over the Engine/KernelTable seam.
 //
@@ -112,6 +112,22 @@ class NetworkGraph {
   /// Repositions the presentation counter — a serve replica replays request
   /// seq k by setting index k before present() (see server.cpp).
   void set_presentation_index(std::uint64_t index);
+
+  /// Advances the presentation counter and the clocks of the blocks a
+  /// `learn_block` pass runs (all blocks for -1) as if `count` presentations
+  /// of `duration_ms` each had run — keeps a graph whose presentations ran
+  /// on replicas in step with the sequential path.
+  void skip_presentations(std::uint64_t count, TimeMs duration_ms,
+                          int learn_block);
+
+  /// Deep copy on another engine: same config, learned block state, clocks
+  /// and presentation index (labels are not copied). The copy replays
+  /// upcoming presentations bitwise; BatchRunner workers each own one.
+  NetworkGraph replicate(Engine* engine) const;
+
+  /// Re-synchronizes a replica with `source` without reconstructing it: every
+  /// block's learned state and clock, and the presentation index.
+  void sync_from(const NetworkGraph& source);
 
   /// Classifier-readout labels of the final block's neurons (-1 =
   /// unlabelled). Empty until labelled or restored from a model file.

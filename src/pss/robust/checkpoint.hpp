@@ -58,8 +58,8 @@ struct TrainingCheckpoint {
   std::uint64_t presentation_cursor = 0;  ///< network presentation index
   double now_ms = 0.0;                    ///< network biological clock
 
-  // Accumulated TrainingStats (plain fields; trainer.hpp includes this
-  // header, not the other way round).
+  // Accumulated graph::TrainingStats (plain fields; graph_trainer.hpp
+  // includes this header, not the other way round).
   double simulated_ms = 0.0;
   double wall_seconds = 0.0;
   std::uint64_t images_presented = 0;

@@ -25,7 +25,8 @@
 //   serve.worker        pss_serve worker, before each presentation
 //                       (transient = requeue with backoff; fatal = the
 //                       worker dies and the heartbeat monitor recovers it)
-//   train.interrupt     UnsupervisedTrainer, at each image/batch boundary
+//   train.interrupt     GraphTrainer, after each training presentation
+//                       (minibatch runs: each batch boundary), any stack
 //   synapse.stuck_lo / synapse.stuck_hi / synapse.perturb
 //                       rate-only arms read by synaptic_plan_from_injector()
 #pragma once

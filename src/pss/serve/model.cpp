@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "pss/common/error.hpp"
+#include "pss/graph/graph_trainer.hpp"
 
 namespace pss::serve {
 
@@ -32,30 +32,7 @@ graph::NetworkGraph instantiate(const ModelBundle& bundle, Engine* engine) {
 int predict_from_counts(std::span<const std::uint32_t> spike_counts,
                         std::span<const int> neuron_labels,
                         std::size_t class_count) {
-  PSS_REQUIRE(spike_counts.size() == neuron_labels.size(),
-              "serve: spike count vector size must equal neuron count");
-  if (class_count == 0) return -1;
-  std::vector<double> score(class_count, 0.0);
-  std::vector<std::size_t> sizes(class_count, 0);
-  for (std::size_t j = 0; j < neuron_labels.size(); ++j) {
-    const int label = neuron_labels[j];
-    if (label < 0) continue;
-    PSS_REQUIRE(static_cast<std::size_t>(label) < class_count,
-                "serve: neuron label out of class range");
-    score[static_cast<std::size_t>(label)] += spike_counts[j];
-    ++sizes[static_cast<std::size_t>(label)];
-  }
-  double best = 0.0;
-  int winner = -1;
-  for (std::size_t c = 0; c < class_count; ++c) {
-    if (sizes[c] == 0) continue;
-    const double mean = score[c] / static_cast<double>(sizes[c]);
-    if (mean > best) {
-      best = mean;
-      winner = static_cast<int>(c);
-    }
-  }
-  return winner;
+  return graph::graph_predict(spike_counts, neuron_labels, class_count);
 }
 
 }  // namespace pss::serve

@@ -54,9 +54,8 @@ ModelBundle load_model(const std::string& path, const WtaConfig& base_config);
 graph::NetworkGraph instantiate(const ModelBundle& bundle, Engine* engine);
 
 /// Pure scoring: argmax of mean per-class spike counts over the labelled
-/// neurons, -1 = abstain. Same rule as SnnClassifier::predict_from_counts,
-/// exposed as a free function so serve workers score replica output without
-/// holding a classifier (which wants a network reference).
+/// neurons, -1 = abstain. Forwards to graph::graph_predict, the one
+/// prediction rule training-side evaluation uses too.
 int predict_from_counts(std::span<const std::uint32_t> spike_counts,
                         std::span<const int> neuron_labels,
                         std::size_t class_count);

@@ -29,8 +29,7 @@ class ExperimentHarness : public ::testing::Test {
     spec.train_images = 40;
     spec.label_images = 60;
     spec.eval_images = 60;
-    spec.t_label_ms = 150.0;
-    spec.t_infer_ms = 150.0;
+    spec.t_readout_ms = 150.0;
     return spec;
   }
 
@@ -50,7 +49,7 @@ TEST_F(ExperimentHarness, SpecBuildsConfigsFromTable1) {
   EXPECT_EQ(net.stdp.rounding, RoundingMode::kStochastic);
   ASSERT_TRUE(net.stdp.format.has_value());
   EXPECT_EQ(net.stdp.format->name(), "Q1.7");
-  const TrainerConfig tc = spec.trainer_config();
+  const graph::GraphTrainerConfig tc = spec.trainer_config();
   EXPECT_DOUBLE_EQ(tc.f_max_hz, 22.0);
 }
 
@@ -59,7 +58,7 @@ TEST_F(ExperimentHarness, SpecOverridesFrequencyAndTime) {
   spec.f_min_hz = 5.0;
   spec.f_max_hz = 78.0;
   spec.t_learn_ms = 100.0;
-  const TrainerConfig tc = spec.trainer_config();
+  const graph::GraphTrainerConfig tc = spec.trainer_config();
   EXPECT_DOUBLE_EQ(tc.f_min_hz, 5.0);
   EXPECT_DOUBLE_EQ(tc.f_max_hz, 78.0);
   EXPECT_DOUBLE_EQ(tc.t_learn_ms, 100.0);

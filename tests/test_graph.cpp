@@ -21,6 +21,7 @@
 #include "pss/common/error.hpp"
 #include "pss/data/synthetic_digits.hpp"
 #include "pss/data/temporal_gestures.hpp"
+#include "pss/engine/batch_runner.hpp"
 #include "pss/engine/launch.hpp"
 #include "pss/graph/filter_bank.hpp"
 #include "pss/graph/graph_snapshot.hpp"
@@ -330,6 +331,102 @@ TEST(GraphTraining, LearnBlockSkipsLaterBlocks) {
   EXPECT_EQ(r.layer_spikes.back(), 0u);
   const GraphResult full = g.present_image(test_frame(1), 60.0, -1);
   EXPECT_EQ(full.spike_counts.size(), 16u);
+}
+
+/// Labels + evaluates `items` on three replicas of `trained` — sequential,
+/// BatchRunner(1), BatchRunner(3) — and asserts the results are bitwise
+/// equal: labels, responses, confusion, and the advanced cursor.
+template <typename Items>
+void expect_batched_readout_matches_sequential(const NetworkGraph& trained,
+                                               const Items& label_set,
+                                               const Items& eval_set,
+                                               graph::GraphTrainerConfig tc) {
+  Engine serial(1);
+  NetworkGraph seq = trained.replicate(&serial);
+  NetworkGraph par1 = trained.replicate(&serial);
+  NetworkGraph par3 = trained.replicate(&serial);
+  BatchRunner one(1);
+  BatchRunner three(3);
+  graph::GraphTrainer ta(seq, tc);
+  graph::GraphTrainer tb(par1, tc, &one);
+  graph::GraphTrainer tc3(par3, tc, &three);
+  const std::size_t labelled = ta.label(label_set);
+  EXPECT_EQ(labelled, tb.label(label_set));
+  EXPECT_EQ(labelled, tc3.label(label_set));
+  EXPECT_EQ(ta.label_response(), tb.label_response());
+  EXPECT_EQ(ta.label_response(), tc3.label_response());
+  EXPECT_EQ(seq.neuron_labels(), par1.neuron_labels());
+  EXPECT_EQ(seq.neuron_labels(), par3.neuron_labels());
+  const graph::GraphEvaluation ra = ta.evaluate(eval_set);
+  const graph::GraphEvaluation rb = tb.evaluate(eval_set);
+  const graph::GraphEvaluation rc = tc3.evaluate(eval_set);
+  EXPECT_EQ(ra.correct, rb.correct);
+  EXPECT_EQ(ra.correct, rc.correct);
+  EXPECT_EQ(ra.abstained, rc.abstained);
+  EXPECT_EQ(ra.confusion->to_string(), rb.confusion->to_string());
+  EXPECT_EQ(ra.confusion->to_string(), rc.confusion->to_string());
+  EXPECT_EQ(seq.presentation_index(), par3.presentation_index());
+  EXPECT_EQ(seq.block(0).now(), par3.block(0).now());
+}
+
+TEST(GraphTraining, BatchedStackedLabelAndEvalMatchSequential) {
+  const LabeledDataset data = make_synthetic_digits(
+      {.train_count = 6, .test_count = 20, .seed = 9});
+  NetworkGraph g(stacked_config("cpu", 19));
+  graph::GraphTrainerConfig tc;
+  tc.t_learn_ms = 60.0;
+  tc.t_readout_ms = 60.0;
+  graph::GraphTrainer(g, tc).train(data.train);
+  expect_batched_readout_matches_sequential(g, data.test.head(10),
+                                            data.test.slice(10, 20), tc);
+}
+
+TEST(GraphTraining, BatchedSequenceLabelAndEvalMatchSequential) {
+  GestureConfig gc;
+  gc.train_count = 4;
+  gc.test_count = 12;
+  gc.frames = 4;
+  const GestureDataset data = make_temporal_gestures(gc);
+  WtaConfig base = base_config(23);
+  GraphConfig cfg = graph::graph_config_from_spec(
+      "encode:temporal=diff;conv:filters=4,kernel=7,stride=3;wta:neurons=16",
+      base);
+  cfg.input = graph::LayerShape{1, 28, 28};
+  NetworkGraph g(cfg);
+  graph::GraphTrainerConfig tc;
+  tc.frame_ms = 20.0;
+  graph::GraphTrainer(g, tc).train(data.train);
+  const std::vector<GestureSequence> label_set(data.test.begin(),
+                                               data.test.begin() + 6);
+  const std::vector<GestureSequence> eval_set(data.test.begin() + 6,
+                                              data.test.end());
+  expect_batched_readout_matches_sequential(g, label_set, eval_set, tc);
+}
+
+TEST(GraphTraining, StackedMinibatchIsWorkerCountInvariant) {
+  const LabeledDataset data = make_synthetic_digits(
+      {.train_count = 6, .test_count = 1, .seed = 9});
+  graph::GraphTrainerConfig tc;
+  tc.t_learn_ms = 60.0;
+  tc.batch_size = 4;  // 6 images: one full and one partial batch per block
+  const GraphConfig cfg = graph::graph_config_from_spec(
+      "wta:neurons=10;wta:neurons=6", base_config(31));
+  NetworkGraph a(cfg);
+  NetworkGraph b(cfg);
+  BatchRunner one(1);
+  BatchRunner three(3);
+  const graph::TrainingStats sa =
+      graph::GraphTrainer(a, tc, &one).train(data.train);
+  const graph::TrainingStats sb =
+      graph::GraphTrainer(b, tc, &three).train(data.train);
+  EXPECT_EQ(sa.images_presented, 12u);  // two blocks, one sweep each
+  EXPECT_EQ(sa.total_post_spikes, sb.total_post_spikes);
+  for (std::size_t k = 0; k < a.block_count(); ++k) {
+    EXPECT_EQ(a.block(k).conductance().to_vector(),
+              b.block(k).conductance().to_vector())
+        << "block " << k;
+  }
+  EXPECT_EQ(a.presentation_index(), b.presentation_index());
 }
 
 // ------------------------------------------------------------- serialization

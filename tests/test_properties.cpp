@@ -143,8 +143,7 @@ TEST(EndToEndDeterminism, IdenticalRunsProduceIdenticalAccuracy) {
     spec.train_images = 50;
     spec.label_images = 30;
     spec.eval_images = 30;
-    spec.t_label_ms = 150.0;
-    spec.t_infer_ms = 150.0;
+    spec.t_readout_ms = 150.0;
     spec.seed = 5;
     return run_learning_experiment(spec, data);
   };
@@ -165,10 +164,7 @@ TEST(EndToEndDeterminism, DifferentSeedsProduceDifferentNetworks) {
     spec.neuron_count = 15;
     spec.train_images = 20;
     spec.seed = seed;
-    WtaNetwork net(spec.network_config());
-    UnsupervisedTrainer trainer(net, spec.trainer_config());
-    trainer.train(data.train.head(20));
-    return net.conductance().to_vector();
+    return train_network(spec, data).block(0).conductance().to_vector();
   };
   EXPECT_NE(conductance_for_seed(1), conductance_for_seed(2));
 }
@@ -186,9 +182,8 @@ TEST(LearningStability, ContrastSurvivesLongerTraining) {
     spec.neuron_count = 20;
     spec.train_images = images;
     spec.seed = 9;
-    WtaNetwork net(spec.network_config());
-    UnsupervisedTrainer trainer(net, spec.trainer_config());
-    trainer.train(data.train.head(images));
+    const graph::NetworkGraph trained = train_network(spec, data);
+    const WtaNetwork& net = trained.block(0);
     double total = 0.0;
     for (NeuronIndex j = 0; j < net.neuron_count(); ++j) {
       total += quartile_contrast(net.conductance().row(j));
@@ -218,10 +213,11 @@ TEST(TableTwoMechanism, DeterministicTruncationFreezesLearning) {
     WtaConfig cfg = WtaConfig::from_table1(LearningOption::k2Bit, kind, 20);
     cfg.stdp.rounding = RoundingMode::kTruncate;
     cfg.seed = 6;
-    WtaNetwork net(cfg);
+    graph::NetworkGraph graph(graph::single_wta_graph(cfg));
+    const WtaNetwork& net = graph.block(0);
     const auto before = net.conductance().to_vector();
-    UnsupervisedTrainer trainer(net, TrainerConfig::from_table1(
-                                         LearningOption::k2Bit));
+    graph::GraphTrainer trainer(graph, graph::GraphTrainerConfig::from_table1(
+                                           LearningOption::k2Bit));
     trainer.train(data.train);
     ASSERT_GT(net.total_spikes(), 0u) << "network must be active";
     if (kind == StdpKind::kDeterministic) {
@@ -256,17 +252,21 @@ TEST(ClassifierDomain, PredictionsAlwaysInRange) {
   WtaConfig cfg =
       WtaConfig::from_table1(LearningOption::kFloat32, StdpKind::kStochastic, 20);
   cfg.seed = 31;
-  WtaNetwork net(cfg);
+  graph::NetworkGraph net(graph::single_wta_graph(cfg));
   std::vector<int> labels(20);
   for (std::size_t j = 0; j < 20; ++j) {
     labels[j] = static_cast<int>(j % 10);
   }
-  SnnClassifier classifier(net, labels, 10, PixelFrequencyMap(1.0, 22.0),
-                           100.0);
+  net.set_neuron_labels(labels);
+  const PixelFrequencyMap map(1.0, 22.0);
+  std::vector<double> rates;
   SequentialRng rng(3);
   for (int i = 0; i < 5; ++i) {
     const Image img = render_digit(static_cast<Label>(i * 2), 0.05, rng);
-    const int p = classifier.predict(img);
+    map.frequencies(img.span(), rates);
+    const graph::GraphResult r = net.present(rates, 100.0, -1);
+    const int p = graph::graph_predict(r.spike_counts, net.neuron_labels(),
+                                       net.class_count());
     EXPECT_GE(p, -1);
     EXPECT_LT(p, 10);
   }
