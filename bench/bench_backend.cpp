@@ -5,33 +5,36 @@
 // End-to-end section: the full unsupervised pipeline (train → label → infer)
 // through ExperimentSpec with only the backend name swapped, plus the wall
 // time each backend charged to the encode / integrate / stdp phases and the
-// per-phase speedup of cpu_sparse against cpu.
+// per-phase speedup of cpu_sparse against cpu. Each backend runs kTrials
+// times, interleaved cpu / cpu_sparse so host drift hits both alike; the
+// published seconds and phase times are per-field medians over the trials,
+// and the speedups are ratios of those medians.
 //
-// Hardware-counter profile: an untimed cpu_sparse e2e pass re-runs with
-// obs::profile_enabled() on, so the per-kernel cycles/IPC/cache-miss tables
-// in the `<out>.profile.json` sidecar (pss.profile.v1) come from the same
-// code paths without the ~µs counter-group reads distorting the published
-// timings. Where perf_event_open is blocked (containers) the sidecar
-// reports "available": 0 instead of failing.
-//
-// Arguments: e2e=1 profile=1 out=BENCH_backend.json seed=3
+// Arguments: e2e=1 out=BENCH_backend.json seed=3
 // The committed repo-root BENCH_backend.json is this bench's output, run from
 // the repo root with defaults; refresh it when the kernels change and diff
 // with tools/bench_summary.py. tools/bench_compare.py gates it against
 // bench/baselines/backend.json.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "pss/common/error.hpp"
 #include "pss/common/stopwatch.hpp"
 #include "pss/data/synthetic_digits.hpp"
 #include "pss/experiment/experiment.hpp"
 #include "pss/io/config.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 
 using namespace pss;
 
 namespace {
+
+/// Timed e2e runs per backend; the published figures are their medians.
+constexpr int kTrials = 5;
+static_assert(kTrials % 2 == 1, "median() takes the middle trial");
 
 /// Wall time charged to each simulation phase during one e2e run, read as
 /// deltas of the global phase.*.ns counters WtaNetwork::present maintains.
@@ -42,12 +45,31 @@ struct PhaseBreakdown {
   double aggregate() const { return encode_ns + integrate_ns + stdp_ns; }
 };
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Per-field medians of `trials`, each field taken independently.
+PhaseBreakdown median_phases(const std::vector<PhaseBreakdown>& trials) {
+  const auto field = [&](double PhaseBreakdown::*member) {
+    std::vector<double> values;
+    for (const PhaseBreakdown& t : trials) values.push_back(t.*member);
+    return median(std::move(values));
+  };
+  return {field(&PhaseBreakdown::encode_ns),
+          field(&PhaseBreakdown::integrate_ns),
+          field(&PhaseBreakdown::stdp_ns)};
+}
+
 double phase_counter(const char* name) {
   return static_cast<double>(obs::metrics().counter(name).value());
 }
 
+/// One e2e run of `backend`: returns its wall seconds and fills `accuracy`
+/// and `phases`.
 double run_e2e(const std::string& backend, const LabeledDataset& data,
-               std::uint64_t seed, double* accuracy, PhaseBreakdown* phases) {
+               std::uint64_t seed, double& accuracy, PhaseBreakdown& phases) {
   ExperimentSpec spec;
   spec.name = "bench_backend_e2e";
   spec.neuron_count = 50;
@@ -62,12 +84,10 @@ double run_e2e(const std::string& backend, const LabeledDataset& data,
   Stopwatch sw;
   const ExperimentResult result = run_learning_experiment(spec, data);
   const double seconds = sw.seconds();
-  if (accuracy) *accuracy = result.accuracy;
-  if (phases) {
-    phases->encode_ns = phase_counter("phase.encode.ns") - enc0;
-    phases->integrate_ns = phase_counter("phase.integrate.ns") - int0;
-    phases->stdp_ns = phase_counter("phase.stdp.ns") - stdp0;
-  }
+  accuracy = result.accuracy;
+  phases.encode_ns = phase_counter("phase.encode.ns") - enc0;
+  phases.integrate_ns = phase_counter("phase.integrate.ns") - int0;
+  phases.stdp_ns = phase_counter("phase.stdp.ns") - stdp0;
   return seconds;
 }
 
@@ -137,45 +157,40 @@ int main(int argc, char** argv) {
 
     // --- end-to-end -------------------------------------------------------
     if (args.get_bool("e2e", true)) {
-      double acc_cpu = 0.0, acc_sparse = 0.0;
-      PhaseBreakdown ph_cpu, ph_sparse;
-      const double e2e_cpu = run_e2e("cpu", data, seed, &acc_cpu, &ph_cpu);
-      const double e2e_sparse =
-          run_e2e("cpu_sparse", data, seed, &acc_sparse, &ph_sparse);
+      const std::string backends[2] = {"cpu", "cpu_sparse"};
+      std::vector<double> seconds[2];
+      std::vector<PhaseBreakdown> phases[2];
+      double accuracy[2] = {0.0, 0.0};
+      for (int trial = 0; trial < kTrials; ++trial) {
+        for (int b = 0; b < 2; ++b) {
+          double acc = 0.0;
+          PhaseBreakdown ph;
+          seconds[b].push_back(run_e2e(backends[b], data, seed, acc, ph));
+          phases[b].push_back(ph);
+          PSS_REQUIRE(trial == 0 || acc == accuracy[b],
+                      "bench_backend: " + backends[b] +
+                          " accuracy changed between trials");
+          accuracy[b] = acc;
+        }
+      }
+      const double sec[2] = {median(seconds[0]), median(seconds[1])};
+      const PhaseBreakdown ph[2] = {median_phases(phases[0]),
+                                    median_phases(phases[1])};
       std::printf("  e2e pipeline   cpu %9.2f s    cpu_sparse %9.2f s   "
-                  "speedup %.2fx  (accuracy %.1f%% vs %.1f%%)\n",
-                  e2e_cpu, e2e_sparse, e2e_cpu / e2e_sparse, 100.0 * acc_cpu,
-                  100.0 * acc_sparse);
+                  "speedup %.2fx  (accuracy %.1f%% vs %.1f%%, median of %d)\n",
+                  sec[0], sec[1], sec[0] / sec[1], 100.0 * accuracy[0],
+                  100.0 * accuracy[1], kTrials);
+      obs::metrics().gauge("bench.backend.trials").set(kTrials);
       obs::metrics()
           .gauge("bench.backend.e2e.cpu_sparse.speedup")
-          .set(e2e_cpu / e2e_sparse);
+          .set(sec[0] / sec[1]);
       // Per-phase wall time per backend, and cpu_sparse's per-phase speedup
       // against the reference. The sparse backend's acceptance criterion is
       // the encode+integrate+stdp aggregate.
-      publish_e2e("cpu", e2e_cpu, acc_cpu, ph_cpu);
-      publish_e2e("cpu_sparse", e2e_sparse, acc_sparse, ph_sparse);
-      publish_phase_speedup("cpu_sparse", ph_cpu, ph_sparse);
-    }
-
-    // --- hardware-counter profile (untimed pass) --------------------------
-    if (args.get_bool("profile", true)) {
-      obs::set_profile_enabled(true);
-      // One sparse e2e run fills the per-phase rows (phase.encode /
-      // integrate / stdp / homeostasis) and the sparse kernel tags.
-      run_e2e("cpu_sparse", data, seed, nullptr, nullptr);
-      obs::set_profile_enabled(false);
-      obs::publish_profile_stats();
-      std::string profile_out = out;
-      const std::string suffix = ".json";
-      if (profile_out.size() >= suffix.size() &&
-          profile_out.compare(profile_out.size() - suffix.size(),
-                              suffix.size(), suffix) == 0) {
-        profile_out.resize(profile_out.size() - suffix.size());
+      for (int b = 0; b < 2; ++b) {
+        publish_e2e(backends[b], sec[b], accuracy[b], ph[b]);
       }
-      profile_out += ".profile.json";
-      obs::write_profile_json(profile_out, "bench_backend");
-      std::printf("wrote %s (profile.available=%d)\n", profile_out.c_str(),
-                  obs::profile_available() ? 1 : 0);
+      publish_phase_speedup("cpu_sparse", ph[0], ph[1]);
     }
 
     obs::write_metrics_json(out, "bench_backend");

@@ -22,7 +22,6 @@
 #include "pss/io/config.hpp"
 #include "pss/io/table.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 
 namespace pss::bench {
 
@@ -143,19 +142,6 @@ inline std::string write_bench_record(const std::string& bench_name) {
   return path;
 }
 
-/// Dumps the hardware-counter profile to out/BENCH_<bench_name>.profile.json
-/// (pss.profile.v1) and mirrors the rows into the registry first, so a
-/// subsequent write_bench_record() carries them too. Always writes: where
-/// perf_event_open is blocked (containers) the sidecar reports
-/// "available": 0 with an empty kernel table instead of failing.
-inline std::string write_profile_record(const std::string& bench_name) {
-  obs::publish_profile_stats();
-  const std::string path =
-      out_dir() + "/BENCH_" + bench_name + ".profile.json";
-  obs::write_profile_json(path, bench_name);
-  return path;
-}
-
 inline void print_header(const char* figure, const char* claim) {
   std::printf("================================================================\n");
   std::printf("%s\n", figure);
@@ -171,17 +157,11 @@ inline int bench_main(int argc, char** argv, const std::string& bench_name,
     // Benches publish results through the metrics registry (record() /
     // write_bench_record()), so collection is on by default here.
     obs::set_metrics_enabled(args.get_bool("obs", true));
-    // Hardware-counter profiling is opt-in (`profile=1`): every profiled
-    // launch costs two counter-group reads (~µs syscalls), which would
-    // distort the very timings the bench is recording. The profile sidecar
-    // is still always written — with profiling off (or perf unavailable) it
-    // documents that fact instead of silently not existing.
-    obs::set_profile_enabled(args.get_bool("profile", false));
     body(args);
-    write_profile_record(bench_name);
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench failed: %s\n", e.what());
+    std::fprintf(stderr, "bench_%s failed: %s\n", bench_name.c_str(),
+                 e.what());
     return 1;
   }
 }

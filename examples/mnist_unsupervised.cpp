@@ -12,7 +12,7 @@
 //   results)   batch=1 (> 1 = minibatch STDP training)
 //   backend=cpu|cpu_sparse (cpu)  compute backend (README "Compute backends")
 //   metrics=<path.json>  trace=<path.json>  manifest=<path.json>
-//   profile=<path.json>  prom=<path.prom>  metrics_port=<port>
+//   prom=<path.prom>  metrics_port=<port>
 //   (observability sidecars + live exposition — see README "Observability")
 //   checkpoint=<path> checkpoint_every=<N> resume=<path> faults=<spec>
 //   (fault tolerance — see README "Fault tolerance & resume")
@@ -33,7 +33,6 @@
 #include "pss/obs/exporter.hpp"
 #include "pss/obs/manifest.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 #include "pss/obs/trace.hpp"
 #include "tools/run_options.hpp"
 
@@ -133,7 +132,6 @@ int main(int argc, char** argv) {
 
     if (want_obs) {
       publish_engine_stats(default_engine(), "engine");
-      obs::publish_profile_stats();
       if (!metrics_path.empty()) {
         obs::write_metrics_json(metrics_path, "mnist_unsupervised");
         std::printf("metrics saved: %s\n", metrics_path.c_str());
@@ -172,10 +170,6 @@ int main(int argc, char** argv) {
         }
         obs::write_manifest(manifest_path, manifest);
         std::printf("manifest saved: %s\n", manifest_path.c_str());
-      }
-      if (!obs_paths.profile.empty()) {
-        obs::write_profile_json(obs_paths.profile, "mnist_unsupervised");
-        std::printf("profile saved: %s\n", obs_paths.profile.c_str());
       }
       if (!obs_paths.prom.empty()) {
         obs::write_prometheus_text(obs_paths.prom);

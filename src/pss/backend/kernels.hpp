@@ -355,8 +355,8 @@ struct KernelTable {
 };
 
 /// Reference table: the pre-backend Engine::launch kernel bodies, moved
-/// verbatim (same launch tags, same floating-point operation order —
-/// bitwise-identical results, asserted by tests/test_backend.cpp).
+/// verbatim (same floating-point operation order — bitwise-identical
+/// results, asserted by tests/test_backend.cpp).
 const KernelTable& cpu_kernel_table();
 
 /// cpu + the event-driven sparse path: event-list encoders (geometric

@@ -1,8 +1,8 @@
 // Reference (`cpu`) kernel implementations.
 //
 // These are the pre-backend Engine::launch bodies moved here VERBATIM —
-// identical floating-point operation order, identical launch tags — so the
-// cpu backend reproduces the original code bit for bit at any worker count
+// identical floating-point operation order — so the cpu backend reproduces
+// the original code bit for bit at any worker count
 // (tests/test_backend.cpp asserts this; the network/worker-invariance suites
 // pass unmodified on top of it).
 #include <algorithm>
@@ -55,7 +55,7 @@ void current_accumulate_cpu(Engine& engine, const CurrentAccumulateArgs& a) {
   const auto active_pre = a.active_pre;
   const double amplitude = a.amplitude;
   const auto currents = a.currents;
-  engine.launch("current.accumulate", currents.size(), [&](std::size_t post) {
+  engine.launch(currents.size(), [&](std::size_t post) {
     const double* row = g.data() + post * pre_count;
     double acc = 0.0;
     for (ChannelIndex pre : active_pre) acc += row[pre];
@@ -75,7 +75,7 @@ void lif_step_cpu(Engine& engine, const LifStepArgs& args) {
   const LifParameters p = args.params;
 
   // Neuron-update kernel: one logical thread per neuron (paper Sec. III-A).
-  engine.launch("lif.step", v.size(), [&](std::size_t i) {
+  engine.launch(v.size(), [&](std::size_t i) {
     flag[i] = 0;
     if (now <= inhibited[i]) {
       v[i] = p.v_reset;  // WTA inhibition pins the loser at reset
@@ -114,7 +114,7 @@ void lif_step_fused_cpu(Engine& engine, const LifFusedStepArgs& args) {
   const TimeMs dt = args.step.dt;
   const LifParameters p = args.params;
 
-  engine.launch("lif.fused", v.size(), [&](std::size_t i) {
+  engine.launch(v.size(), [&](std::size_t i) {
     // Synaptic current update (all neurons, inhibited or not — matches the
     // unfused decay + accumulate_currents sequence bit for bit).
     double ci = decay_factor == 0.0 ? 0.0 : currents[i] * decay_factor;
@@ -160,7 +160,7 @@ void izhikevich_step_cpu(Engine& engine, const IzhikevichStepArgs& args) {
   const TimeMs dt = args.step.dt;
   const IzhikevichParameters base = args.params;
 
-  engine.launch("izhi.step", v.size(), [&](std::size_t i) {
+  engine.launch(v.size(), [&](std::size_t i) {
     flag[i] = 0;
     if (now <= inhibited[i]) {
       v[i] = base.c;
@@ -191,7 +191,7 @@ void izhikevich_step_fused_cpu(Engine& engine,
   const TimeMs dt = args.step.dt;
   const IzhikevichParameters base = args.params;
 
-  engine.launch("izhi.fused", v.size(), [&](std::size_t i) {
+  engine.launch(v.size(), [&](std::size_t i) {
     // Matches the unfused decay + accumulate_currents sequence bit for bit.
     double ci = decay_factor == 0.0 ? 0.0 : currents[i] * decay_factor;
     if (!active_pre.empty()) {
@@ -218,7 +218,7 @@ void inhibit_scan_cpu(Engine& engine, const InhibitScanArgs& a) {
   const auto inhibited = a.inhibited_until;
   const NeuronIndex winner = a.winner;
   const TimeMs until = a.until;
-  engine.launch("wta.inhibit", inhibited.size(), [&](std::size_t i) {
+  engine.launch(inhibited.size(), [&](std::size_t i) {
     if (i != winner && until > inhibited[i]) inhibited[i] = until;
   });
 }
@@ -233,7 +233,7 @@ void stdp_row_cpu(Engine& engine, const StdpRowArgs& a) {
 
   // STDP kernel: one logical thread per afferent synapse. Draw indices are
   // derived from the event base so results are schedule-independent.
-  engine.launch("stdp.row", row.size(), [&](std::size_t pre) {
+  engine.launch(row.size(), [&](std::size_t pre) {
     const TimeMs t_pre = last_pre[pre];
     const double gap =
         t_pre == kNeverSpiked ? std::numeric_limits<double>::infinity()
@@ -262,7 +262,7 @@ void conv_accumulate_cpu(Engine& engine, const ConvAccumulateArgs& a) {
   // active list in ascending order and accumulating the taps that fall in
   // the unit's window. The fixed per-unit association (active order) is the
   // cross-backend bitwise contract.
-  engine.launch("graph.conv", a.filter_count * out_plane, [&](std::size_t u) {
+  engine.launch(a.filter_count * out_plane, [&](std::size_t u) {
     const std::size_t f = u / out_plane;
     const std::size_t rem = u % out_plane;
     const std::size_t y0 = (rem / a.out_width) * stride;
@@ -291,7 +291,7 @@ void pool_forward_cpu(Engine& engine, const PoolForwardArgs& a) {
   const std::size_t in_plane = in_w * in_h;
   const std::size_t out_plane = a.out_width * a.out_height;
 
-  engine.launch("graph.pool", a.channels * out_plane, [&](std::size_t u) {
+  engine.launch(a.channels * out_plane, [&](std::size_t u) {
     const std::size_t c = u / out_plane;
     const std::size_t rem = u % out_plane;
     const std::size_t y0 = (rem / a.out_width) * window;

@@ -147,7 +147,7 @@ void sparse_accumulate_cpu(Engine& engine, const SparseAccumulateArgs& a) {
   for (ChannelIndex c : a.active_pre) {
     const std::uint32_t lo = a.row_ptr[c];
     const auto cols = a.cols.subspan(lo, a.row_ptr[c + 1] - lo);
-    engine.launch("sparse.accumulate", cols.size(), [&](std::size_t i) {
+    engine.launch(cols.size(), [&](std::size_t i) {
       const NeuronIndex post = cols[i];
       currents[post] += amplitude * g[post * pre_count + c];
     });
@@ -454,7 +454,7 @@ void stdp_flush_cpu(Engine& engine, const StdpFlushArgs& a) {
   // Blocks touch disjoint synapses, so partitioned dispatch is
   // deterministic; applied counts are integer sums, so the atomic total is
   // too.
-  engine.launch("stdp.flush", blocks, [&](std::size_t b) {
+  engine.launch(blocks, [&](std::size_t b) {
     const std::size_t begin = b * kBlock;
     const std::size_t end = std::min(begin + kBlock, n);
     std::uint64_t napp = 0;
@@ -498,7 +498,7 @@ void conv_accumulate_hoisted(Engine& engine, const ConvAccumulateArgs& a) {
 
   constexpr std::size_t kFilterBlock = 16;  // accumulators held on the stack
 
-  engine.launch("graph.conv", out_plane, [&](std::size_t s) {
+  engine.launch(out_plane, [&](std::size_t s) {
     const std::size_t y0 = (s / a.out_width) * stride;
     const std::size_t x0 = (s % a.out_width) * stride;
     // Hoisted geometry: tap index of every in-window active input, computed

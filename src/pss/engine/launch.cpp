@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "pss/common/error.hpp"
+#include "pss/obs/metrics.hpp"
 
 namespace pss {
 
@@ -37,13 +38,6 @@ void publish_engine_stats(const Engine& engine, const std::string& prefix) {
   reg.gauge(prefix + ".launches").set(static_cast<double>(engine.launch_count()));
   reg.gauge(prefix + ".dispatches")
       .set(static_cast<double>(engine.dispatch_count()));
-  for (const LaunchTagStats& s : engine.tag_stats()) {
-    const std::string base = prefix + ".tag." + s.tag;
-    reg.gauge(base + ".launches").set(static_cast<double>(s.launches));
-    reg.gauge(base + ".dispatches").set(static_cast<double>(s.dispatches));
-    reg.gauge(base + ".inline_ns").set(static_cast<double>(s.inline_ns));
-    reg.gauge(base + ".dispatch_ns").set(static_cast<double>(s.dispatch_ns));
-  }
   for (std::size_t w = 0; w < engine.pool().worker_count(); ++w) {
     reg.gauge(prefix + ".worker." + std::to_string(w) + ".busy_ns")
         .set(static_cast<double>(engine.pool().worker_busy_ns(w)));

@@ -6,9 +6,9 @@
 // the end of the launch (the simulator's per-step cudaDeviceSynchronize).
 //
 // Kernels must be data-parallel: thread i may write only to slot i of its
-// output arrays (or use the documented reduce helpers). Combined with the
-// counter-based RNG this gives bitwise-reproducible results independent of
-// worker count — a property the tests assert.
+// output arrays. Combined with the counter-based RNG this gives
+// bitwise-reproducible results independent of worker count — a property the
+// tests assert.
 //
 // Dispatch cost control: waking the pool costs a mutex + two condvar hops
 // (microseconds), which dominates kernels of a few hundred indices — the
@@ -17,41 +17,18 @@
 // calling thread; kernels stay bitwise-identical either way, so the cutoff
 // is purely a scheduling decision.
 //
-// Observability: every launch site may pass a static tag string; the engine
-// keeps per-tag launch/dispatch counts and — only while
-// obs::metrics_enabled() — per-tag wall time split into inline vs dispatched
-// launches. While obs::profile_enabled(), each launch is additionally
-// bracketed by a hardware-counter read pair (cycles / instructions /
-// cache-misses / branch-misses) aggregated per tag into obs::profiler()
-// under "kernel.<tag>" — this is the perf-counter seam in the KernelTable
-// dispatch path (DESIGN.md §4b). Counters are per submitting thread, so a
-// dispatched launch charges only the coordination work to the row; with the
-// default grain every simulator kernel launches inline and is fully
-// measured. With both gates off the added cost is one relaxed atomic load +
-// branch per gate per launch (bench_kernels measures it).
+// Observability: the engine counts launches and the subset that woke the
+// pool (launch_count / dispatch_count); the pool keeps per-worker busy time.
+// Where the time goes is attributed by the phase spans around the launches
+// (phase.*, graph.l<i>.*), not per launch, so a launch costs no clock reads.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "pss/engine/thread_pool.hpp"
-#include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 
 namespace pss {
-
-/// Per-tag launch accounting (see Engine::tag_stats). Collected only while
-/// obs::metrics_enabled(); times are monotonic nanoseconds.
-struct LaunchTagStats {
-  const char* tag = nullptr;
-  std::uint64_t launches = 0;
-  std::uint64_t dispatches = 0;   ///< subset of launches that woke the pool
-  std::uint64_t inline_ns = 0;    ///< wall time of inline launches
-  std::uint64_t dispatch_ns = 0;  ///< wall time of dispatched launches
-};
 
 class Engine {
  public:
@@ -69,84 +46,20 @@ class Engine {
   std::size_t grain() const { return grain_; }
   void set_grain(std::size_t grain) { grain_ = grain; }
 
-  /// Launches `kernel(i)` for every i in [0, thread_count). `tag` must be a
-  /// string literal (stored by pointer) naming the kernel for per-tag
-  /// accounting.
+  /// Launches `kernel(i)` for every i in [0, thread_count).
   template <typename Kernel>
-  void launch(const char* tag, std::size_t thread_count, Kernel&& kernel) {
+  void launch(std::size_t thread_count, Kernel&& kernel) {
     if (thread_count == 0) return;
     ++launch_count_;
-    const obs::PerfScope perf(
-        obs::profile_enabled() ? &profile_row_for(tag) : nullptr);
-    LaunchTagStats* stats = nullptr;
-    std::uint64_t t0 = 0;
-    if (obs::metrics_enabled()) {
-      stats = &stats_for(tag);
-      ++stats->launches;
-      t0 = obs::monotonic_ns();
-    }
     if (thread_count <= grain_ || pool_.worker_count() == 1) {
       for (std::size_t i = 0; i < thread_count; ++i) kernel(i);
-      if (stats) stats->inline_ns += obs::monotonic_ns() - t0;
       return;
     }
     ++dispatch_count_;
-    if (stats) ++stats->dispatches;
     pool_.parallel_for(thread_count,
                        [&kernel](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) kernel(i);
                        });
-    if (stats) stats->dispatch_ns += obs::monotonic_ns() - t0;
-  }
-
-  template <typename Kernel>
-  void launch(std::size_t thread_count, Kernel&& kernel) {
-    launch("kernel", thread_count, std::forward<Kernel>(kernel));
-  }
-
-  /// Parallel sum-reduction of kernel results: sums `kernel(i)` over
-  /// [0, thread_count). The shape CUDA code expresses as a block reduction.
-  /// Partial sums combine in shard order, so the result is deterministic for
-  /// a fixed worker count.
-  template <typename Kernel>
-  double launch_sum(const char* tag, std::size_t thread_count,
-                    Kernel&& kernel) {
-    if (thread_count == 0) return 0.0;
-    ++launch_count_;
-    const obs::PerfScope perf(
-        obs::profile_enabled() ? &profile_row_for(tag) : nullptr);
-    LaunchTagStats* stats = nullptr;
-    std::uint64_t t0 = 0;
-    if (obs::metrics_enabled()) {
-      stats = &stats_for(tag);
-      ++stats->launches;
-      t0 = obs::monotonic_ns();
-    }
-    if (thread_count <= grain_ || pool_.worker_count() == 1) {
-      double total = 0.0;
-      for (std::size_t i = 0; i < thread_count; ++i) total += kernel(i);
-      if (stats) stats->inline_ns += obs::monotonic_ns() - t0;
-      return total;
-    }
-    ++dispatch_count_;
-    if (stats) ++stats->dispatches;
-    std::vector<double> partial(pool_.worker_count(), 0.0);
-    pool_.parallel_shards(
-        thread_count,
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += kernel(i);
-          partial[shard] = acc;
-        });
-    double total = 0.0;
-    for (double p : partial) total += p;
-    if (stats) stats->dispatch_ns += obs::monotonic_ns() - t0;
-    return total;
-  }
-
-  template <typename Kernel>
-  double launch_sum(std::size_t thread_count, Kernel&& kernel) {
-    return launch_sum("kernel", thread_count, std::forward<Kernel>(kernel));
   }
 
   /// Launch statistics (counted on the submitting thread; an Engine has one
@@ -155,17 +68,12 @@ class Engine {
   std::uint64_t launch_count() const { return launch_count_; }
   std::uint64_t dispatch_count() const { return dispatch_count_; }
 
-  /// Per-tag accounting rows (times populated only while metrics were
-  /// enabled; counts only for launches issued while enabled).
-  const std::vector<LaunchTagStats>& tag_stats() const { return tag_stats_; }
-
-  /// Zeroes the launch/dispatch counters, the per-tag rows and the pool's
-  /// busy-time accounting, so benches and phases can isolate their own
-  /// launch budget instead of reading process-lifetime totals.
+  /// Zeroes the launch/dispatch counters and the pool's busy-time
+  /// accounting, so benches and phases can isolate their own launch budget
+  /// instead of reading process-lifetime totals.
   void reset_counters() {
     launch_count_ = 0;
     dispatch_count_ = 0;
-    tag_stats_.clear();
     pool_.reset_busy_ns();
   }
 
@@ -173,37 +81,10 @@ class Engine {
   const ThreadPool& pool() const { return pool_; }
 
  private:
-  /// Row for `tag`, created on first use. Single-submitter, so plain data.
-  /// Pointer comparison is the fast path (call sites pass literals); strcmp
-  /// catches identical literals deduplicated differently across TUs.
-  LaunchTagStats& stats_for(const char* tag) {
-    for (LaunchTagStats& s : tag_stats_) {
-      if (s.tag == tag || std::strcmp(s.tag, tag) == 0) return s;
-    }
-    tag_stats_.push_back(LaunchTagStats{tag, 0, 0, 0, 0});
-    return tag_stats_.back();
-  }
-
-  /// Profiler row for `tag` ("kernel.<tag>" in obs::profiler()), resolved
-  /// once per tag per engine and then cached — the registry lock is off the
-  /// launch path. Same single-submitter / tag-literal contract as
-  /// stats_for().
-  obs::ProfileAccum& profile_row_for(const char* tag) {
-    for (const auto& [t, row] : profile_rows_) {
-      if (t == tag || std::strcmp(t, tag) == 0) return *row;
-    }
-    obs::ProfileAccum& row =
-        obs::profiler().row(std::string("kernel.") + tag);
-    profile_rows_.emplace_back(tag, &row);
-    return row;
-  }
-
   ThreadPool pool_;
   std::size_t grain_ = kDefaultGrain;
   std::uint64_t launch_count_ = 0;
   std::uint64_t dispatch_count_ = 0;
-  std::vector<LaunchTagStats> tag_stats_;
-  std::vector<std::pair<const char*, obs::ProfileAccum*>> profile_rows_;
 };
 
 /// Process-wide default engine (lazily constructed). The simulator and the
@@ -217,10 +98,9 @@ Engine& default_engine();
 void configure_default_engine(std::size_t worker_count);
 
 /// Mirrors an engine's launch accounting into the global metrics registry as
-/// gauges (`<prefix>.launches`, `<prefix>.dispatches`,
-/// `<prefix>.tag.<tag>.{launches,dispatches,inline_ns,dispatch_ns}`, and
-/// `<prefix>.worker.<i>.busy_ns` from the pool) — called by run drivers just
-/// before writing a metrics dump or manifest.
+/// gauges (`<prefix>.workers`, `<prefix>.launches`, `<prefix>.dispatches`
+/// and `<prefix>.worker.<i>.busy_ns` from the pool) — called by run drivers
+/// just before writing a metrics dump or manifest.
 void publish_engine_stats(const Engine& engine, const std::string& prefix);
 
 }  // namespace pss

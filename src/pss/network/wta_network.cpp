@@ -12,7 +12,6 @@
 #include "pss/backend/state_pool.hpp"
 #include "pss/common/error.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 #include "pss/obs/trace.hpp"
 
 namespace pss {
@@ -26,16 +25,6 @@ constexpr const char* kPhaseCounter[] = {
     "phase.homeostasis.ns"};
 constexpr const char* kPhaseSpan[] = {"encode", "integrate", "stdp",
                                       "homeostasis"};
-
-/// Hardware-counter rows for the same four phases (obs::profiler() keys).
-obs::ProfileAccum* const* phase_profile_rows() {
-  static obs::ProfileAccum* const rows[4] = {
-      &obs::profiler().row("phase.encode"),
-      &obs::profiler().row("phase.integrate"),
-      &obs::profiler().row("phase.stdp"),
-      &obs::profiler().row("phase.homeostasis")};
-  return rows;
-}
 
 /// Catch-up chain depth (pending post events applied per (row, channel)
 /// pair) — how far behind the lazy-STDP path lets synapses drift.
@@ -221,27 +210,14 @@ PresentationResult WtaNetwork::present(std::span<const double> rates_hz,
   const bool observed = obs::metrics_enabled();
   const bool traced = obs::trace_enabled();
   const bool timed = observed || traced;
-  // Per-phase hardware counters ride the same stop marks as the wall clock:
-  // each phase_stop() charges the counter deltas since the previous mark to
-  // one phase row, so the four rows partition the loop's retired work
-  // exactly (launch-scope read overhead included — it ran in that phase).
-  const bool profiled = obs::profile_enabled();
   std::uint64_t phase_ns[4] = {0, 0, 0, 0};
-  obs::PerfReading perf_mark;
-  if (profiled) perf_mark = obs::perf_read_now();
   const std::uint64_t present_t0 = timed ? obs::monotonic_ns() : 0;
   std::uint64_t mark = present_t0;
   const auto phase_stop = [&](PresentPhase p) {
-    if (timed) {
-      const std::uint64_t now_ns = obs::monotonic_ns();
-      phase_ns[p] += now_ns - mark;
-      mark = now_ns;
-    }
-    if (profiled) {
-      const obs::PerfReading now = obs::perf_read_now();
-      phase_profile_rows()[p]->add(perf_mark, now);
-      perf_mark = now;
-    }
+    if (!timed) return;
+    const std::uint64_t now_ns = obs::monotonic_ns();
+    phase_ns[p] += now_ns - mark;
+    mark = now_ns;
   };
 
   // Lazy STDP is an event-driven-path feature (pending events key off the

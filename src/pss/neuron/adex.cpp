@@ -76,7 +76,7 @@ void AdexPopulation::step(std::span<const double> input_current, TimeMs now,
   auto flag = spiked_flag_.span();
   const AdexParameters base = params_;
 
-  engine_->launch("adex.step", size(), [&](std::size_t i) {
+  engine_->launch(size(), [&](std::size_t i) {
     flag[i] = 0;
     if (now <= inhibited[i]) {
       v[i] = base.v_reset;

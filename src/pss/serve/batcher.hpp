@@ -72,8 +72,8 @@ struct PendingRequest {
   /// calls (duplicate execution after a requeue race) are no-ops. Returns
   /// whether this call won. `on_win` runs after the once-only claim but
   /// BEFORE the response becomes visible to the client — callers use it for
-  /// metric bumps so a client can never observe a response whose counter
-  /// has not landed yet.
+  /// metric bumps and a train's model publish, so a client can never
+  /// observe a response whose counter or model generation has not landed.
   bool complete(Response response,
                 const std::function<void()>& on_win = nullptr);
 

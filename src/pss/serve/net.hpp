@@ -1,7 +1,6 @@
 // Loopback socket primitives — the ONE translation unit in the tree allowed
 // to issue raw socket syscalls (enforced by the pss_lint rule
-// `raw-socket-syscall`, mirroring how perf_event_open is confined to
-// pss/obs/perf.cpp). Every consumer — the pss_serve daemon, its client, the
+// `raw-socket-syscall`). Every consumer — the pss_serve daemon, its client, the
 // obs metrics exporter — goes through these wrappers, so bind/accept error
 // handling, read/write deadlines, and bounded buffering live in a single
 // audited place.

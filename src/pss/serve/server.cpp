@@ -236,11 +236,15 @@ void ServeServer::worker_loop(std::size_t slot_index) {
           Response response = execute(*replica, *bundle, *request);
           const bool trained = request->request.verb == Verb::kTrain &&
                                response.status == Status::kOk;
-          // `won` gates absorb_training below: after a stale-heartbeat
+          // The won claim gates absorb_training: after a stale-heartbeat
           // requeue a straggler duplicate can reach here with the request
           // already answered — absorbing its STDP update again would apply
-          // the same example twice and break bit-for-bit replay.
-          const bool won = request->complete(std::move(response), [&request] {
+          // the same example twice and break bit-for-bit replay. The
+          // absorb runs inside on_win, before the reply is pushed, so a
+          // client that sees a train reply always sees its new generation.
+          // Concurrent trains are last-write-wins (documented).
+          const bool won = request->complete(std::move(response), [&] {
+            if (trained) absorb_training(*replica);
             serve_metrics().completed.add(1);
             serve_metrics().latency.observe(
                 static_cast<double>(obs::monotonic_ns() -
@@ -248,12 +252,9 @@ void ServeServer::worker_loop(std::size_t slot_index) {
                 1e9);
           });
           erase_one(request);
-          if (trained && won) {
-            // Publish the updated weights; other workers resync between
-            // batches. Concurrent trains are last-write-wins (documented).
-            absorb_training(*replica);
-            bundle = current_model();
-          }
+          // Other workers resync between batches; this one moves to the
+          // model it just published.
+          if (trained && won) bundle = current_model();
         } catch (const TransientError&) {
           // Transient fault: this worker survives; the request retries on
           // any worker after a deterministic backoff. Its deadline is the

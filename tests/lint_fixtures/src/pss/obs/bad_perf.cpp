@@ -1,5 +1,5 @@
-// Seeded violation for the raw-perf-syscall rule: opening a counter fd
-// directly instead of going through the pss/obs/perf.cpp wrapper.
+// Seeded violation for the raw-perf-syscall rule: opening a hardware-counter
+// fd, which the rule allows nowhere.
 #include <sys/syscall.h>
 #include <unistd.h>
 

@@ -99,23 +99,6 @@ TEST(Engine, LaunchVisitsEachThreadIndex) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Engine, LaunchSumMatchesSerial) {
-  Engine engine(4);
-  const double parallel =
-      engine.launch_sum(1000,
-                        [](std::size_t i) { return static_cast<double>(i) * 0.5; });
-  double serial = 0.0;
-  for (std::size_t i = 0; i < 1000; ++i) {
-    serial += static_cast<double>(i) * 0.5;
-  }
-  EXPECT_DOUBLE_EQ(parallel, serial);
-}
-
-TEST(Engine, LaunchSumEmptyIsZero) {
-  Engine engine(2);
-  EXPECT_DOUBLE_EQ(engine.launch_sum(0, [](std::size_t) { return 1.0; }), 0.0);
-}
-
 TEST(Engine, ResultsIndependentOfWorkerCount) {
   // The reproducibility contract: counter-based draws + data-parallel
   // kernels => identical results for any worker count.
@@ -158,26 +141,9 @@ TEST(Engine, SerialEngineNeverDispatches) {
   engine.set_grain(0);
   std::atomic<int> n{0};
   engine.launch(5000, [&](std::size_t) { n++; });
-  engine.launch_sum(5000, [](std::size_t) { return 1.0; });
   EXPECT_EQ(n.load(), 5000);
-  EXPECT_EQ(engine.launch_count(), 2u);
+  EXPECT_EQ(engine.launch_count(), 1u);
   EXPECT_EQ(engine.dispatch_count(), 0u);
-}
-
-TEST(Engine, LaunchSumIdenticalInlineOrDispatched) {
-  // launch_sum combines per-shard partials in shard order, so for a fixed
-  // worker count the dispatched result is deterministic; and because every
-  // kernel value is exactly representable here, it equals the inline sum.
-  Engine inline_engine(4);  // n <= grain -> serial accumulation
-  Engine forced(4);
-  forced.set_grain(0);  // always through the pool
-  auto kernel = [](std::size_t i) { return static_cast<double>(i); };
-  const double a = inline_engine.launch_sum(2000, kernel);
-  const double b = forced.launch_sum(2000, kernel);
-  const double c = forced.launch_sum(2000, kernel);
-  EXPECT_DOUBLE_EQ(a, 2000.0 * 1999.0 / 2.0);
-  EXPECT_DOUBLE_EQ(b, c);
-  EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(BatchRunner, VisitsEveryIndexOnceWithValidWorkerIds) {

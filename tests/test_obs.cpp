@@ -1,10 +1,9 @@
 // Observability-layer tests: metrics registry semantics (bucket edges,
 // sharded merges under concurrency), trace JSON well-formedness, log sink
-// plumbing, engine launch accounting, the hardware-counter profiler's
-// graceful degradation + sidecar, the Prometheus exporter, and — the
-// load-bearing contract — that enabling metrics/tracing/profiling cannot
-// perturb bitwise reproducibility (including the worker-count-invariance
-// property with tracing on).
+// plumbing, engine launch accounting, the Prometheus exporter, and — the
+// load-bearing contract — that enabling metrics/tracing cannot perturb
+// bitwise reproducibility (including the worker-count-invariance property
+// with tracing on).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -29,7 +28,6 @@
 #include "pss/obs/json_writer.hpp"
 #include "pss/obs/manifest.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 #include "pss/obs/trace.hpp"
 
 namespace pss {
@@ -46,11 +44,8 @@ class ObsGuard {
   static void reset() {
     obs::set_metrics_enabled(false);
     obs::set_trace_enabled(false);
-    obs::set_profile_enabled(false);
-    obs::set_profile_forced_unavailable(false);
     obs::reset_trace();
     obs::metrics().reset();
-    obs::profiler().reset();
   }
 };
 
@@ -338,31 +333,21 @@ TEST(Trace, ChromeExportIsWellFormedJson) {
 
 // ---- engine accounting -----------------------------------------------------
 
-TEST(Engine, PerTagLaunchAccounting) {
+TEST(Engine, LaunchAndDispatchCounting) {
   ObsGuard guard;
   obs::set_metrics_enabled(true);
   Engine engine(1);
   std::vector<double> v(64, 0.0);
-  for (int rep = 0; rep < 3; ++rep) {
-    engine.launch("tag.a", v.size(), [&](std::size_t i) { v[i] += 1.0; });
+  for (int rep = 0; rep < 4; ++rep) {
+    engine.launch(v.size(), [&](std::size_t i) { v[i] += 1.0; });
   }
-  engine.launch("tag.b", v.size(), [&](std::size_t i) { v[i] += 1.0; });
-
-  const auto stats = engine.tag_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  std::uint64_t a_launches = 0, b_launches = 0;
-  for (const auto& s : stats) {
-    if (std::string(s.tag) == "tag.a") a_launches = s.launches;
-    if (std::string(s.tag) == "tag.b") b_launches = s.launches;
-  }
-  EXPECT_EQ(a_launches, 3u);
-  EXPECT_EQ(b_launches, 1u);
+  EXPECT_EQ(v[0], 4.0);
   EXPECT_EQ(engine.launch_count(), 4u);
   EXPECT_EQ(engine.dispatch_count(), 0u);  // single-worker engine: all inline
 
   engine.reset_counters();
   EXPECT_EQ(engine.launch_count(), 0u);
-  EXPECT_TRUE(engine.tag_stats().empty());
+  EXPECT_EQ(engine.dispatch_count(), 0u);
 }
 
 TEST(Engine, PublishEngineStatsMirrorsIntoRegistry) {
@@ -371,144 +356,18 @@ TEST(Engine, PublishEngineStatsMirrorsIntoRegistry) {
   Engine engine(2);
   engine.set_grain(0);  // force pool dispatch
   std::vector<double> v(128, 0.0);
-  engine.launch("tag.pub", v.size(), [&](std::size_t i) { v[i] += 1.0; });
+  engine.launch(v.size(), [&](std::size_t i) { v[i] += 1.0; });
   publish_engine_stats(engine, "test.engine");
-  EXPECT_EQ(obs::metrics().gauge("test.engine.launches").value(), 1.0);
-  EXPECT_EQ(obs::metrics().gauge("test.engine.dispatches").value(), 1.0);
-  EXPECT_EQ(obs::metrics().gauge("test.engine.tag.tag.pub.launches").value(),
-            1.0);
-}
-
-// ---- hardware-counter profiler ---------------------------------------------
-
-TEST(Profile, AccumSemantics) {
-  ObsGuard guard;
-  obs::ProfileAccum accum;
-
-  obs::PerfReading begin;
-  begin.valid = true;
-  begin.time_enabled = 100;
-  begin.time_running = 100;
-  begin.cycles = 1000;
-  begin.instructions = 2000;
-  begin.cache_misses = 10;
-  begin.branch_misses = 5;
-  obs::PerfReading end = begin;
-  end.time_enabled = 300;
-  end.time_running = 200;
-  end.cycles = 3000;
-  end.instructions = 6000;
-  end.cache_misses = 22;
-  end.branch_misses = 9;
-
-  accum.add(begin, end);
-  EXPECT_EQ(accum.samples(), 1u);
-  EXPECT_EQ(accum.enabled_ns(), 200u);
-  EXPECT_EQ(accum.running_ns(), 100u);
-  EXPECT_EQ(accum.cycles(), 2000u);
-  EXPECT_EQ(accum.instructions(), 4000u);
-  EXPECT_EQ(accum.cache_misses(), 12u);
-  EXPECT_EQ(accum.branch_misses(), 4u);
-
-  // Invalid readings must not accumulate (the unavailable-host path).
-  obs::PerfReading invalid;
-  accum.add(invalid, end);
-  accum.add(begin, invalid);
-  EXPECT_EQ(accum.samples(), 1u);
-
-  // Counter going backwards (reset paranoia): sample dropped.
-  accum.add(end, begin);
-  EXPECT_EQ(accum.samples(), 1u);
-
-  accum.reset();
-  EXPECT_EQ(accum.samples(), 0u);
-  EXPECT_EQ(accum.cycles(), 0u);
-}
-
-TEST(Profile, SnapshotDerivesRatiosAndSkipsEmptyRows) {
-  ObsGuard guard;
-  obs::ProfileAccum& row = obs::profiler().row("test.profile.row");
-  obs::profiler().row("test.profile.untouched");  // stays sample-free
-
-  obs::PerfReading begin;
-  begin.valid = true;
-  obs::PerfReading end = begin;
-  end.time_enabled = 1000;
-  end.time_running = 500;
-  end.cycles = 4000;
-  end.instructions = 8000;
-  end.cache_misses = 16;
-  end.branch_misses = 8;
-  row.add(begin, end);
-
-  const auto rows = obs::profiler().snapshot();
-  ASSERT_EQ(rows.size(), 1u);  // zero-sample rows filtered
-  EXPECT_EQ(rows[0].key, "test.profile.row");
-  EXPECT_EQ(rows[0].samples, 1u);
-  EXPECT_DOUBLE_EQ(rows[0].ipc, 2.0);
-  EXPECT_DOUBLE_EQ(rows[0].cache_miss_per_kinst, 2.0);   // 16 per 8k inst
-  EXPECT_DOUBLE_EQ(rows[0].branch_miss_per_kinst, 1.0);  // 8 per 8k inst
-  EXPECT_DOUBLE_EQ(rows[0].multiplex_fraction, 0.5);
-
-  // Same-name lookup returns the same accumulator (stable references).
-  EXPECT_EQ(&obs::profiler().row("test.profile.row"), &row);
-}
-
-TEST(Profile, GracefulDegradationWhenPerfUnavailable) {
-  ObsGuard guard;
-  // Force the container reality even on perf-capable hosts: every read
-  // reports invalid, nothing accumulates, nothing throws.
-  obs::set_profile_forced_unavailable(true);
-  obs::set_profile_enabled(true);
-  obs::set_metrics_enabled(true);
-
-  EXPECT_FALSE(obs::profile_available());
-  EXPECT_FALSE(obs::perf_read_now().valid);
-
-  obs::ProfileAccum& row = obs::profiler().row("test.degraded");
-  {
-    const obs::PerfScope scope(obs::profile_enabled() ? &row : nullptr);
+  obs::MetricsRegistry& reg = obs::metrics();
+  EXPECT_EQ(reg.gauge("test.engine.workers").value(), 2.0);
+  EXPECT_EQ(reg.gauge("test.engine.launches").value(), 1.0);
+  EXPECT_EQ(reg.gauge("test.engine.dispatches").value(), 1.0);
+  bool saw_busy = false;
+  for (const obs::MetricSnapshot& m : reg.snapshot()) {
+    EXPECT_EQ(m.name.find(".tag."), std::string::npos) << m.name;
+    if (m.name == "test.engine.worker.0.busy_ns") saw_busy = true;
   }
-  EXPECT_EQ(row.samples(), 0u);
-
-  // A profiled Engine launch still runs to completion.
-  Engine engine(1);
-  std::vector<double> v(32, 0.0);
-  engine.launch("test.degraded.launch", v.size(),
-                [&](std::size_t i) { v[i] += 1.0; });
-  EXPECT_EQ(v[0], 1.0);
-
-  // The sidecar still writes, as a valid document reporting available=0.
-  obs::publish_profile_stats();
-  EXPECT_EQ(obs::metrics().gauge("profile.available").value(), 0.0);
-  const std::string path = temp_path("pss_test_profile.json");
-  obs::write_profile_json(path, "unit-test");
-  const std::string json = read_file(path);
-  std::filesystem::remove(path);
-  EXPECT_TRUE(JsonValidator(json).valid()) << json;
-  EXPECT_NE(json.find("\"pss.profile.v1\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"available\": 0"), std::string::npos) << json;
-}
-
-TEST(Profile, SidecarCarriesAccumulatedRows) {
-  ObsGuard guard;
-  obs::ProfileAccum& row = obs::profiler().row("kernel.test.sidecar");
-  obs::PerfReading begin;
-  begin.valid = true;
-  obs::PerfReading end = begin;
-  end.time_enabled = 10;
-  end.time_running = 10;
-  end.cycles = 100;
-  end.instructions = 250;
-  row.add(begin, end);
-
-  const std::string path = temp_path("pss_test_profile_rows.json");
-  obs::write_profile_json(path, "unit-test");
-  const std::string json = read_file(path);
-  std::filesystem::remove(path);
-  EXPECT_TRUE(JsonValidator(json).valid()) << json;
-  EXPECT_NE(json.find("\"kernel.test.sidecar\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ipc\": 2.5"), std::string::npos) << json;
+  EXPECT_TRUE(saw_busy);
 }
 
 // ---- Prometheus exposition -------------------------------------------------
@@ -703,10 +562,9 @@ graph::GraphTrainerConfig trainer_config() {
   return tc;
 }
 
-std::vector<double> train_conductances(bool observe, bool profile = false) {
+std::vector<double> train_conductances(bool observe) {
   obs::set_metrics_enabled(observe);
   obs::set_trace_enabled(observe);
-  obs::set_profile_enabled(profile);
   if (observe) obs::reset_trace();
   SyntheticConfig synth;
   synth.train_count = 12;
@@ -717,7 +575,6 @@ std::vector<double> train_conductances(bool observe, bool profile = false) {
   trainer.train(data.train.head(10));
   obs::set_metrics_enabled(false);
   obs::set_trace_enabled(false);
-  obs::set_profile_enabled(false);
   return net.block(0).conductance().to_vector();
 }
 
@@ -729,25 +586,6 @@ TEST(Reproducibility, IdenticalWithObservabilityOnAndOff) {
   // And the observed run actually collected something.
   EXPECT_GT(obs::metrics().counter("present.count").value(), 0u);
   EXPECT_FALSE(obs::collect_trace().empty());
-}
-
-TEST(Reproducibility, IdenticalWithProfilingOnAndOff) {
-  ObsGuard guard;
-  const std::vector<double> g_plain = train_conductances(false);
-  // Profiled run, on whatever this host offers: real counter-group reads on
-  // perf-capable machines, the invalid-reading path in containers. Both must
-  // leave training bitwise untouched — profiling is observational only.
-  const std::vector<double> g_profiled =
-      train_conductances(/*observe=*/true, /*profile=*/true);
-  EXPECT_EQ(g_plain, g_profiled);
-
-  // And again with availability forced off, so the degradation branch is
-  // exercised even on perf-capable hosts.
-  obs::set_profile_forced_unavailable(true);
-  const std::vector<double> g_degraded =
-      train_conductances(/*observe=*/true, /*profile=*/true);
-  obs::set_profile_forced_unavailable(false);
-  EXPECT_EQ(g_plain, g_degraded);
 }
 
 TEST(Reproducibility, WorkerCountInvarianceHoldsWithTracingOn) {

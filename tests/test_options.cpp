@@ -41,11 +41,16 @@ TEST(OptionsNegative, UnknownKeySuggestsNearestKnownKey) {
 }
 
 TEST(OptionsNegative, UnknownKeyFarFromEverythingGetsNoSuggestion) {
-  const Config cfg = config_from({"zzqqzz=1"});
-  const std::string msg =
-      error_message([&] { tools::require_known_keys(cfg); });
-  EXPECT_NE(msg.find("unknown config key 'zzqqzz'"), std::string::npos) << msg;
-  EXPECT_EQ(msg.find("did you mean"), std::string::npos) << msg;
+  // Includes the removed profile= option: an ordinary unknown key now.
+  for (const std::string key : {"zzqqzz", "profile"}) {
+    const std::string arg = key + "=x";
+    const Config cfg = config_from({arg.c_str()});
+    const std::string msg =
+        error_message([&] { tools::require_known_keys(cfg); });
+    EXPECT_NE(msg.find("unknown config key '" + key + "'"), std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find("did you mean"), std::string::npos) << msg;
+  }
 }
 
 TEST(OptionsNegative, ToolSpecificExtraKeysAreAccepted) {

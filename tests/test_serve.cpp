@@ -615,6 +615,31 @@ TEST_F(ServeTest, CheckpointModelServesTrainButRefusesClassify) {
   EXPECT_GE(server.model_generation(), 2u);
 }
 
+TEST_F(ServeTest, TrainReplyImpliesItsGenerationIsPublished) {
+  // A train reply is pushed only after its weights are published, so a
+  // client that sees the reply always sees the new generation.
+  const std::string model = write_model("pss_serve_train_gen.bin", 7);
+  for (const std::size_t workers : {1u, 2u}) {
+    serve::ServeOptions opts = base_options(model);
+    opts.workers = workers;
+    serve::ServeServer server(opts);
+    serve::ServeClient client(server.port());
+    std::uint64_t generation = server.model_generation();
+    for (std::uint32_t k = 0; k < 120; ++k) {
+      serve::Request train;
+      train.verb = serve::Verb::kTrain;
+      train.id = k;
+      train.body = test_image(k);
+      const serve::Response reply = client.call(train);
+      ASSERT_EQ(reply.status, serve::Status::kOk) << reply.message;
+      const std::uint64_t now = server.model_generation();
+      ASSERT_GE(now, generation + 1)
+          << "workers=" << workers << " request " << k;
+      generation = now;
+    }
+  }
+}
+
 TEST_F(ServeTest, OversizedFrameDropsConnectionNotServer) {
   const std::string model = write_model("pss_serve_frame.bin", 7);
   serve::ServeServer server(base_options(model));

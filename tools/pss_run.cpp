@@ -46,8 +46,6 @@
 //   trace=<path.json>     Chrome trace_event JSON (open in Perfetto)
 //   manifest=<path.json>  run manifest: config + phase times + metrics
 //                         (pss.manifest.v1)
-//   profile=<path.json>   hardware-counter kernel profile (pss.profile.v1;
-//                         "available": 0 where perf_event_open is blocked)
 //   prom=<path.prom>      Prometheus textfile dump of the final registry
 //   metrics_port=<port>   serve the registry live as Prometheus text on
 //                         127.0.0.1:<port> (0 = pick an ephemeral port)
@@ -85,7 +83,6 @@
 #include "pss/obs/exporter.hpp"
 #include "pss/obs/manifest.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 #include "pss/obs/trace.hpp"
 #include "pss/robust/checkpoint.hpp"
 #include "pss/robust/fault_injection.hpp"
@@ -382,9 +379,6 @@ int main(int argc, char** argv) {
 
     if (want_obs) {
       publish_engine_stats(default_engine(), "engine");
-      // Mirror profiler rows (and profile.available) into the registry
-      // before any dump, so metrics/prom/manifest all carry them.
-      obs::publish_profile_stats();
       if (!metrics_path.empty()) {
         obs::write_metrics_json(metrics_path, "pss_run");
         std::printf("metrics saved: %s\n", metrics_path.c_str());
@@ -396,10 +390,6 @@ int main(int argc, char** argv) {
       if (!manifest_path.empty()) {
         obs::write_manifest(manifest_path, manifest);
         std::printf("manifest saved: %s\n", manifest_path.c_str());
-      }
-      if (!obs_paths.profile.empty()) {
-        obs::write_profile_json(obs_paths.profile, "pss_run");
-        std::printf("profile saved: %s\n", obs_paths.profile.c_str());
       }
       if (!obs_paths.prom.empty()) {
         obs::write_prometheus_text(obs_paths.prom);

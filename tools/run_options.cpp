@@ -8,7 +8,6 @@
 #include "pss/common/suggest.hpp"
 #include "pss/graph/layer_spec.hpp"
 #include "pss/obs/metrics.hpp"
-#include "pss/obs/perf.hpp"
 #include "pss/obs/trace.hpp"
 #include "pss/robust/fault_injection.hpp"
 
@@ -59,9 +58,9 @@ const std::vector<std::string>& shared_config_keys() {
       "checkpoints", "eval",   "fault_seed", "faults",
       "frame_ms",   "kind",    "label",      "layers",
       "manifest",   "metrics", "metrics_port", "name",
-      "neurons",    "option",  "profile",    "prom",
-      "resume",     "rounding", "seed",      "trace",
-      "train",      "workers",
+      "neurons",    "option",  "prom",       "resume",
+      "rounding",   "seed",    "trace",      "train",
+      "workers",
   };
   return keys;
 }
@@ -153,7 +152,6 @@ ObsPaths enable_observability(const Config& cfg) {
   paths.metrics = cfg.get_string("metrics", "");
   paths.trace = cfg.get_string("trace", "");
   paths.manifest = cfg.get_string("manifest", "");
-  paths.profile = cfg.get_string("profile", "");
   paths.prom = cfg.get_string("prom", "");
   if (cfg.has("metrics_port")) {
     const auto port = cfg.get_int("metrics_port", 0);
@@ -166,7 +164,6 @@ ObsPaths enable_observability(const Config& cfg) {
     obs::set_trace_enabled(true);
     obs::reset_trace();
   }
-  if (!paths.profile.empty()) obs::set_profile_enabled(true);
   return paths;
 }
 

@@ -65,21 +65,18 @@ struct ObsPaths {
   std::string metrics;
   std::string trace;
   std::string manifest;
-  std::string profile;  ///< pss.profile.v1 hardware-counter sidecar
-  std::string prom;     ///< Prometheus textfile dump of the final registry
+  std::string prom;  ///< Prometheus textfile dump of the final registry
   /// metrics_port= value: -1 = no exporter, 0 = ephemeral port, else bind
   /// that loopback TCP port and serve Prometheus text until exit.
   int metrics_port = -1;
   bool any() const {
     return !metrics.empty() || !trace.empty() || !manifest.empty() ||
-           !profile.empty() || !prom.empty() || metrics_port >= 0;
+           !prom.empty() || metrics_port >= 0;
   }
 };
 
-/// Reads metrics=/trace=/manifest=/profile=/prom=/metrics_port= and switches
-/// the metrics registry, tracer and hardware-counter profiler on as
-/// requested. profile= also enables metrics (the profile rows are mirrored
-/// into the registry at publish time).
+/// Reads metrics=/trace=/manifest=/prom=/metrics_port= and switches the
+/// metrics registry and tracer on as requested.
 ObsPaths enable_observability(const Config& cfg);
 
 }  // namespace pss::tools

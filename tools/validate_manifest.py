@@ -7,8 +7,6 @@ Validates any of the files the instrumented binaries emit:
                      serve runs — label "pss_serve" or any serve.* counter —
                      additionally get the serving-daemon accounting checks)
   pss.manifest.v1   (pss_run manifest=...)
-  pss.profile.v1    (pss_run profile=..., bench BENCH_*.profile.json —
-                     hardware-counter kernel tables)
   Chrome trace      (pss_run trace=..., detected by "traceEvents")
   Prometheus text   (pss_run prom=... / metrics_port= scrapes; detected by
                      failing JSON parse with '# TYPE' lines present)
@@ -200,40 +198,6 @@ def validate_checkpoint_sidecar(cp, path: str) -> None:
                "checkpoint: resumed run must carry a non-zero parent_run_id")
 
 
-def validate_profile(doc: dict, path: str) -> None:
-    """pss.profile.v1: hardware-counter per-kernel tables (tools may rely on
-    'available' being exactly 0 or 1; an unavailable host still writes a
-    valid document with an empty kernel table)."""
-    expect(doc.get("schema") == "pss.profile.v1", path,
-           f"schema is {doc.get('schema')!r}, expected 'pss.profile.v1'")
-    expect(doc.get("available") in (0, 1), path,
-           f"'available': {doc.get('available')!r}, expected 0 or 1")
-    events = doc.get("events")
-    expect(isinstance(events, list) and len(events) >= 1, path,
-           "'events': not a non-empty list")
-    expect(all(isinstance(e, str) and e for e in events), path,
-           "'events': non-string entry")
-    kernels = doc.get("kernels")
-    expect(isinstance(kernels, dict), path, "'kernels': not an object")
-    counter_keys = ("samples", "enabled_ns", "running_ns", "cycles",
-                    "instructions", "cache_misses", "branch_misses")
-    ratio_keys = ("ipc", "cache_miss_per_kinst", "branch_miss_per_kinst",
-                  "multiplex_fraction")
-    for name, k in kernels.items():
-        ctx = f"kernels[{name}]"
-        expect(isinstance(k, dict), path, f"{ctx}: not an object")
-        for key in counter_keys:
-            expect(isinstance(k.get(key), int) and k[key] >= 0, path,
-                   f"{ctx}.{key}: not a non-negative integer")
-        for key in ratio_keys:
-            expect(is_num(k.get(key)), path, f"{ctx}.{key}: not a number")
-        expect(k["samples"] >= 1, path,
-               f"{ctx}: zero-sample rows must be omitted")
-    if doc["available"] == 0:
-        expect(all(k["cycles"] == 0 for k in kernels.values()), path,
-               "available=0 but a kernel row carries cycle counts")
-
-
 # Prometheus text exposition format (version 0.0.4): '# TYPE' headers,
 # optional labels, numeric sample values (+Inf/-Inf/NaN allowed).
 _PROM_SAMPLE = re.compile(
@@ -362,8 +326,6 @@ def validate_file(path: str) -> str:
         validate_manifest(doc, path)
     elif schema == "pss.metrics.v1":
         validate_metrics(doc, path)
-    elif schema == "pss.profile.v1":
-        validate_profile(doc, path)
     else:
         fail(path, f"unrecognized document (schema={schema!r})")
     return schema
